@@ -1,0 +1,215 @@
+// Golden kernel pins: a fixed set of small scenarios whose event count,
+// delivered-packet count and full ScenarioResult digest are recorded in
+// tests/golden/GOLDEN.txt. Any change to the event kernel, the packet
+// pipeline or a policy that shifts simulated behaviour makes a row drift;
+// the failure lists every drifted row.
+//
+// The digest is FNV-1a over the bit patterns of every ScenarioResult field,
+// series included, so a one-ulp change in any latency shows up.
+//
+// Re-record (only for a deliberate, attributed behaviour change):
+//   PRDRB_GOLDEN_RECORD=1 ./build/tests/golden_test
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "experiment/scenario.hpp"
+
+namespace prdrb {
+namespace {
+
+class Digest {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  void u64(std::uint64_t v) {
+    unsigned char le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<unsigned char>(v >> (8 * i));
+    bytes(le, sizeof le);
+  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(const std::string& s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+  void pairs(const std::vector<std::pair<double, double>>& v) {
+    u64(v.size());
+    for (const auto& [a, b] : v) {
+      f64(a);
+      f64(b);
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t digest(const ScenarioResult& r) {
+  Digest d;
+  d.str(r.policy);
+  for (const double v :
+       {r.global_latency, r.mean_latency, r.peak_bin_latency, r.map_peak,
+        r.map_mean, r.exec_time, r.delivery_ratio, r.p50_latency,
+        r.p95_latency, r.p99_latency}) {
+    d.f64(v);
+  }
+  for (const std::uint64_t v :
+       {r.packets, r.events, r.expansions, r.installs, r.trend_triggers,
+        static_cast<std::uint64_t>(r.patterns_saved),
+        static_cast<std::uint64_t>(r.patterns_reused), r.max_reuse}) {
+    d.u64(v);
+  }
+  d.pairs(r.series);
+  d.u64(r.router_map.size());
+  for (const double v : r.router_map) d.f64(v);
+  d.u64(r.router_series.size());
+  for (const auto& [router, series] : r.router_series) {
+    d.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(router)));
+    d.pairs(series);
+  }
+  return d.value();
+}
+
+struct GoldenCase {
+  std::string name;
+  std::string policy;
+  ScenarioSpec spec;
+};
+
+std::vector<GoldenCase> golden_cases() {
+  std::vector<GoldenCase> cases;
+
+  // Bursty uniform traffic on a small mesh; pr-fr-drb arms and cancels one
+  // FR-DRB watchdog per in-flight message, drb exercises plain expansion.
+  ScenarioSpec bursty;
+  bursty.topology = "mesh-4x4";
+  bursty.synthetic().pattern = "uniform";
+  bursty.synthetic().rate_bps = 600e6;
+  bursty.synthetic().bursts = 2;
+  bursty.synthetic().burst_len = 0.5e-3;
+  bursty.synthetic().gap_len = 0.5e-3;
+  bursty.synthetic().duration = 2e-3;
+  bursty.seed = 11;
+  bursty.bin_width = 0.5e-3;
+  cases.push_back({"mesh4x4-bursty-uniform", "pr-fr-drb", bursty});
+  cases.push_back({"mesh4x4-bursty-uniform", "drb", bursty});
+
+  // Closed-loop trace replay on a fat tree (sim_exec_ms path).
+  ScenarioSpec sweep;
+  sweep.topology = "tree-16";
+  sweep.trace().app = "sweep3d";
+  sweep.trace().scale.iterations = 2;
+  cases.push_back({"tree16-sweep3d", "pr-drb", sweep});
+
+  // UGAL-L derouting on the adversarial group shift of the canonical
+  // dragonfly.
+  ScenarioSpec df;
+  df.topology = "dragonfly-4:9:2:4";
+  df.synthetic().pattern = "adversarial-group";
+  df.synthetic().rate_bps = 800e6;
+  df.synthetic().duration = 0.5e-3;
+  df.synthetic().bursts = 0;
+  cases.push_back({"dragonfly-adversarial", "ugal-l", df});
+
+  // Router-based predictive notification on the thesis hot spot.
+  ScenarioSpec hot;
+  hot.topology = "mesh-8x8";
+  hot.synthetic().pattern = "hotspot-cross";
+  hot.synthetic().rate_bps = 1000e6;
+  hot.synthetic().duration = 2e-3;
+  hot.synthetic().bursts = 1;
+  hot.synthetic().burst_len = 1e-3;
+  hot.seed = 11;
+  cases.push_back({"mesh8x8-hotspot-cross", "pr-drb@router", hot});
+  return cases;
+}
+
+struct Pin {
+  std::uint64_t events = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t digest = 0;
+  bool operator==(const Pin&) const = default;
+};
+
+std::string row_key(const GoldenCase& c) { return c.name + " " + c.policy; }
+
+std::string format_pin(const Pin& p) {
+  std::ostringstream os;
+  os << p.events << " " << p.packets << " 0x" << std::hex << p.digest;
+  return os.str();
+}
+
+/// Parse "name policy events packets 0xdigest" rows; '#' starts a comment.
+std::map<std::string, Pin> read_table(const std::string& path) {
+  std::map<std::string, Pin> table;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream is(line);
+    std::string name, policy, hex;
+    Pin pin;
+    if (is >> name >> policy >> pin.events >> pin.packets >> hex) {
+      pin.digest = std::stoull(hex, nullptr, 16);
+      table[name + " " + policy] = pin;
+    }
+  }
+  return table;
+}
+
+bool recording() {
+  const char* env = std::getenv("PRDRB_GOLDEN_RECORD");
+  return env && *env && std::string(env) != "0";
+}
+
+TEST(GoldenKernel, ScenarioPinsMatchRecordedTable) {
+  const std::vector<GoldenCase> cases = golden_cases();
+  std::vector<std::pair<std::string, Pin>> measured;
+  for (const GoldenCase& c : cases) {
+    const ScenarioResult r = run_scenario(c.policy, c.spec);
+    measured.emplace_back(row_key(c), Pin{r.events, r.packets, digest(r)});
+  }
+
+  if (recording()) {
+    std::ofstream out(PRDRB_GOLDEN_FILE);
+    out << "# Golden kernel pins (tests/golden_test.cpp): one scenario per "
+           "line,\n# name policy events packets result-digest. Re-record "
+           "with PRDRB_GOLDEN_RECORD=1\n# only for an attributed behaviour "
+           "change.\n";
+    for (const auto& [key, pin] : measured) {
+      out << key << " " << format_pin(pin) << "\n";
+    }
+    ASSERT_TRUE(out.good()) << "cannot write " << PRDRB_GOLDEN_FILE;
+    GTEST_SKIP() << "re-recorded " << PRDRB_GOLDEN_FILE;
+  }
+
+  const std::map<std::string, Pin> table = read_table(PRDRB_GOLDEN_FILE);
+  ASSERT_FALSE(table.empty()) << "no pins in " << PRDRB_GOLDEN_FILE;
+  std::ostringstream drift;
+  for (const auto& [key, pin] : measured) {
+    const auto it = table.find(key);
+    if (it == table.end()) {
+      drift << "  " << key << ": no recorded pin\n";
+    } else if (!(it->second == pin)) {
+      drift << "  " << key << ": recorded " << format_pin(it->second)
+            << ", now " << format_pin(pin) << "\n";
+    }
+  }
+  EXPECT_EQ(table.size(), measured.size()) << "table rows without a case";
+  EXPECT_TRUE(drift.str().empty()) << "drifted rows:\n" << drift.str();
+}
+
+}  // namespace
+}  // namespace prdrb
