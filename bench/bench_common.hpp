@@ -1,6 +1,6 @@
 // Thin adapter over the library's experiment harness (experiment/scenario)
 // for the per-figure bench binaries: aliases, table-formatting helpers, the
-// shared command-line flags (--jobs, --sched, --trace-out, --metrics-out,
+// shared command-line flags (--jobs, --trace-out, --metrics-out,
 // --manifest-out, --no-manifest, --telemetry-out, --heatmap-out,
 // --scorecard-out, --stream-out, --stream-interval, --watchdog[=S],
 // --watchdog-out, --sdb-in, --sdb-out) and the BenchMain RAII wrapper that
@@ -39,7 +39,6 @@ using prdrb::improvement_pct;
 using prdrb::make_policy;
 using prdrb::make_topology;
 using prdrb::Parsed;
-using prdrb::ParseError;
 using prdrb::PolicyBundle;
 using prdrb::run_policies;
 using prdrb::run_scenario;
@@ -48,7 +47,6 @@ using prdrb::run_synthetic;
 using prdrb::run_trace;
 using prdrb::ScenarioResult;
 using prdrb::ScenarioSpec;
-using prdrb::SchedulerKind;
 using prdrb::SweepJob;
 using prdrb::SyntheticWorkload;
 using prdrb::TraceWorkload;
@@ -66,23 +64,6 @@ T require_parsed(Parsed<T> parsed) {
     std::exit(2);
   }
   return std::move(parsed.value());
-}
-
-/// Apply a --sched/PRDRB_SCHED-style scheduler name process-wide; empty is
-/// a no-op, unknown names exit 2 with a suggestion.
-inline void apply_scheduler_flag(const std::string& name) {
-  if (name.empty()) return;
-  if (const auto kind = prdrb::parse_scheduler_name(name)) {
-    prdrb::set_default_scheduler(*kind);
-    return;
-  }
-  ParseError e;
-  e.input = name;
-  e.kind = "scheduler";
-  e.message = "unknown scheduler";
-  e.suggestion = prdrb::nearest_name(name, {"heap", "calendar"});
-  std::cerr << "error: " << e.what() << '\n';
-  std::exit(2);
 }
 
 /// Common entry-point setup for every bench binary: honours `--jobs N` /
@@ -109,7 +90,6 @@ struct BenchOptions {
   double stream_interval = 0; // --stream-interval=S: snapshot cadence (sim s)
   double watchdog = 0;       // --watchdog[=SECONDS]: stall watchdog window
   std::string watchdog_out;  // --watchdog-out=PATH: flight dump JSON if fired
-  std::string sched;         // --sched NAME: scheduler backend (heap|calendar)
   std::string sdb_in;        // --sdb-in=PATH: warm-start the solution DB
   std::string sdb_out;       // --sdb-out=PATH: export the probe's solution DB
 };
@@ -153,7 +133,6 @@ inline BenchOptions parse_bench_flags(int argc, char** argv) {
       }
     }
     if (take("--watchdog-out", o.watchdog_out)) continue;
-    if (take("--sched", o.sched)) continue;
     if (take("--sdb-in", o.sdb_in)) continue;
     if (take("--sdb-out", o.sdb_out)) continue;
     if (a == "--watchdog") {
@@ -187,10 +166,6 @@ class BenchMain {
         manifest_(name_),
         start_(std::chrono::steady_clock::now()) {
     if (opts_.jobs) prdrb::set_default_jobs(opts_.jobs);
-    apply_scheduler_flag(opts_.sched);
-    manifest_.add_config("sched",
-                         std::string(prdrb::scheduler_name(
-                             prdrb::default_scheduler())));
   }
 
   BenchMain(const BenchMain&) = delete;

@@ -36,16 +36,11 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(64)->Arg(4096)->Arg(65536);
 
 /// The classic "hold" model at a fixed pending depth: pop the minimum and
-/// reschedule it a jittered increment into the future. This is the regime
-/// where backends differ — the heap pays a log(depth) sift with cache
-/// misses on every operation, the calendar queue touches O(1) entries
-/// regardless of depth. The ≥100k rows are the headline number recorded in
-/// BENCH_kernel_baseline.json (acceptance: calendar events/sec within
-/// noise of the heap at depth 131072 and ≥1x at 262144 — this continuous-
-/// timestamp model is the calendar's worst case; ClusteredTie below is the
-/// shape real traces take).
-void hold_model(benchmark::State& state, SchedulerKind kind) {
-  EventQueue q(kind);
+/// reschedule it a jittered increment into the future, so every operation
+/// pays the heap's log(depth) sift with its cache misses. The >=100k rows
+/// cover the deep-queue regime of long trace replays.
+void BM_EventQueueHoldHeap(benchmark::State& state) {
+  EventQueue q;
   const auto depth = static_cast<std::size_t>(state.range(0));
   Rng rng(42);
   for (std::size_t i = 0; i < depth; ++i) {
@@ -57,81 +52,7 @@ void hold_model(benchmark::State& state, SchedulerKind kind) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_EventQueueHoldHeap(benchmark::State& state) {
-  hold_model(state, SchedulerKind::kBinaryHeap);
-}
 BENCHMARK(BM_EventQueueHoldHeap)->Arg(4096)->Arg(131072)->Arg(262144);
-
-void BM_EventQueueHoldCalendar(benchmark::State& state) {
-  hold_model(state, SchedulerKind::kCalendar);
-}
-BENCHMARK(BM_EventQueueHoldCalendar)->Arg(4096)->Arg(131072)->Arg(262144);
-
-/// The hold model restricted to a handful of distinct timestamps: 4096
-/// pending events spread over 4096/range(0) integer ticks, so every tick
-/// carries range(0) coresident ties. Each pop promotes the next tie in the
-/// group chain and the reschedule tail-appends to the farthest group — the
-/// regime where the pre-tie-chain calendar rescanned every coresident entry
-/// per bucket pass (O(T) per operation, O(T^2) per drained tick) and
-/// entry-counted occupancy triggered futile rebuild storms. Acceptance
-/// (BENCH_kernel_baseline.json `clustered_tie`): calendar within 1.1x of
-/// heap at 512-way ties.
-void clustered_tie_model(benchmark::State& state, SchedulerKind kind) {
-  EventQueue q(kind);
-  constexpr std::size_t kDepth = 4096;
-  const auto ties = static_cast<std::size_t>(state.range(0));
-  const double span = static_cast<double>(kDepth / ties);  // distinct ticks
-  for (std::size_t i = 0; i < kDepth; ++i) {
-    q.schedule(static_cast<double>(i / ties), [] {});
-  }
-  for (auto _ : state) {
-    const SimTime t = q.pop().time;
-    q.schedule(t + span, [] {});
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_EventQueueClusteredTieHeap(benchmark::State& state) {
-  clustered_tie_model(state, SchedulerKind::kBinaryHeap);
-}
-BENCHMARK(BM_EventQueueClusteredTieHeap)->Arg(64)->Arg(512);
-
-void BM_EventQueueClusteredTieCalendar(benchmark::State& state) {
-  clustered_tie_model(state, SchedulerKind::kCalendar);
-}
-BENCHMARK(BM_EventQueueClusteredTieCalendar)->Arg(64)->Arg(512);
-
-/// Batched same-time dispatch vs per-event pop on the "many events share
-/// one tick" pattern (NIC injection ticks): range(0) events per timestamp,
-/// drained with begin_batch()/next_batch_action().
-void batch_model(benchmark::State& state, SchedulerKind kind) {
-  EventQueue q(kind);
-  const auto burst = static_cast<int>(state.range(0));
-  double t = 0.0;
-  std::uint64_t fired = 0;
-  EventQueue::Action a;
-  for (auto _ : state) {
-    for (int i = 0; i < burst; ++i) {
-      q.schedule(t, [&fired] { ++fired; });
-    }
-    q.begin_batch();
-    while (q.next_batch_action(a)) a();
-    t += 1.0;
-  }
-  benchmark::DoNotOptimize(fired);
-  state.SetItemsProcessed(state.iterations() * burst);
-}
-
-void BM_EventQueueBatchDispatchHeap(benchmark::State& state) {
-  batch_model(state, SchedulerKind::kBinaryHeap);
-}
-BENCHMARK(BM_EventQueueBatchDispatchHeap)->Arg(16)->Arg(64);
-
-void BM_EventQueueBatchDispatchCalendar(benchmark::State& state) {
-  batch_model(state, SchedulerKind::kCalendar);
-}
-BENCHMARK(BM_EventQueueBatchDispatchCalendar)->Arg(16)->Arg(64);
 
 void BM_SignatureSimilarity(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));

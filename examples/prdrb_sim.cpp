@@ -12,7 +12,6 @@
 #include <string>
 
 #include "experiment/manifest.hpp"
-#include "sim/event_queue.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "obs/counters.hpp"
@@ -53,9 +52,6 @@ options (synthetic traffic):
   --noise <bps>       uniform background load (default 0)
   --seeds <n>         replicated runs, reported mean ± 95% CI (default 1)
   --seed <v>          base seed (default 11)
-  --sched <name>      event-scheduler backend: heap | calendar | auto
-                      (auto picks by expected pending-event scale; default
-                      PRDRB_SCHED env, else heap; results are identical)
   --jobs <n>          parallel sweep workers for replicated runs (default
                       PRDRB_JOBS env, else hardware concurrency; results
                       are identical at any worker count)
@@ -73,7 +69,7 @@ solution database (DESIGN.md "Indexed solution database"):
                         legacy headerless text) before any traffic flows
   --sdb-out <path>      export the base-seed run's solution database after
                         the run; deterministic sorted text, byte-identical
-                        across repeats, --jobs values and schedulers
+                        across repeats and --jobs values
   --sdb-capacity <n>    bound the database to n solutions with LRU
                         eviction (default 0 = unbounded)
 
@@ -123,7 +119,6 @@ int main(int argc, char** argv) {
   sc.synthetic().duration = 10e-3;
   sc.synthetic().bursts = 0;
   std::string policy = "pr-drb";
-  std::string sched;
   std::string app;
   TraceScale scale;
   int seeds = 1;
@@ -181,8 +176,6 @@ int main(int argc, char** argv) {
         sc.synthetic().gap_len = nval();
       } else if (a == "--noise") {
         sc.synthetic().noise_rate_bps = nval();
-      } else if (a == "--sched") {
-        sched = sval();
       } else if (a == "--seeds") {
         seeds = static_cast<int>(nval());
       } else if (a == "--jobs") {
@@ -243,26 +236,11 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << parsed.error().what() << "\n";
       return 2;
     }
-    if (!sched.empty()) {
-      if (const auto kind = parse_scheduler_name(sched)) {
-        set_default_scheduler(*kind);
-      } else {
-        ParseError err;
-        err.input = sched;
-        err.kind = "scheduler";
-        err.message = "unknown scheduler";
-        err.suggestion = nearest_name(sched, {"heap", "calendar", "auto"});
-        std::cerr << "error: " << err.what() << "\n";
-        return 2;
-      }
-    }
 
     RunManifest manifest("prdrb_sim");
     manifest.set_seed(sc.seed);
     manifest.add_config("topology", sc.topology);
     manifest.add_config("policy", policy);
-    manifest.add_config("sched",
-                        std::string(scheduler_name(default_scheduler())));
     if (!sc.sdb_in.empty()) manifest.add_config("sdb_in", sc.sdb_in);
     if (!sc.sdb_out.empty()) manifest.add_config("sdb_out", sc.sdb_out);
     if (sc.prdrb.sdb_capacity > 0) {

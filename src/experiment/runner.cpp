@@ -6,6 +6,8 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -119,8 +121,12 @@ std::vector<ScenarioResult> run_policies(
 // old serial loop.
 std::vector<ScenarioResult> run_synthetic_replicated(
     const std::string& policy_name, ScenarioSpec spec, int runs) {
+  if (runs < 1) {
+    throw std::invalid_argument("replicated run needs at least 1 seed, got " +
+                                std::to_string(runs));
+  }
   std::vector<SweepJob> jobs;
-  jobs.reserve(static_cast<std::size_t>(std::max(runs, 0)));
+  jobs.reserve(static_cast<std::size_t>(runs));
   const std::uint64_t base_seed = spec.seed;
   const std::string sdb_out = spec.sdb_out;
   for (int i = 0; i < runs; ++i) {

@@ -427,20 +427,8 @@ RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
     reg.gauge("sim.events", [&sim] {
       return static_cast<double>(sim.events_executed());
     });
-    // Scheduler internals: how the chosen backend is coping with the
-    // workload's timestamp structure. For the heap everything but the
-    // tombstone count reads 0, which is itself the signal that the counters
-    // describe the calendar's machinery.
+    // Cancelled-but-unpurged heap entries (FR-DRB watchdog churn).
     const EventQueue* q = &sim.queue();
-    reg.gauge("sim.sched.rebuilds", [q] {
-      return static_cast<double>(q->sched_rebuilds());
-    });
-    reg.gauge("sim.sched.tie_chain_pops", [q] {
-      return static_cast<double>(q->sched_tie_chain_pops());
-    });
-    reg.gauge("sim.sched.direct_search_fallbacks", [q] {
-      return static_cast<double>(q->sched_direct_search_fallbacks());
-    });
     reg.gauge("sim.sched.tombstones", [q] {
       return static_cast<double>(q->pending_cancellations());
     });
@@ -525,26 +513,10 @@ RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
 
 }  // namespace
 
-std::size_t expected_pending_events(const Topology& topo,
-                                    const ScenarioSpec& sc) {
-  const std::size_t entities = static_cast<std::size_t>(topo.num_nodes()) +
-                               static_cast<std::size_t>(topo.num_routers());
-  double per_entity = 8.0;  // trace replays: compute/comm phases in flight
-  if (sc.is_synthetic()) {
-    const double packet_bits =
-        std::max(1.0, 8.0 * static_cast<double>(sc.net.packet_bytes));
-    const double inflight =
-        sc.synthetic().rate_bps * 50e-6 / packet_bits;  // ~50 us pipeline
-    per_entity = std::clamp(inflight, 1.0, 64.0);
-  }
-  return static_cast<std::size_t>(static_cast<double>(entities) * per_entity);
-}
-
 ScenarioResult run_scenario(const std::string& policy_name,
                             const ScenarioSpec& sc) {
   auto topo = make_topology(sc.topology).value_or_throw();
-  Simulator sim(sc.sched.value_or(default_scheduler()),
-                expected_pending_events(*topo, sc));
+  Simulator sim;
   auto bundle = build_policy(policy_name, sc.drb, sc.prdrb, 7);
   Network net(sim, *topo, sc.net, *bundle.policy);
   MetricsCollector metrics(topo->num_nodes(), topo->num_routers(),
@@ -638,7 +610,7 @@ ScenarioResult run_scenario(const std::string& policy_name,
   fill_common(r, metrics, bundle, topo->num_routers(), sc.watch);
   if (bundle.engine && !sc.sdb_out.empty()) {
     // Deterministic sorted export (binary mode: no platform newline
-    // translation) — byte-identical across runs, jobs and schedulers.
+    // translation) — byte-identical across runs and jobs.
     std::ofstream out(sc.sdb_out, std::ios::binary);
     if (!out) {
       throw std::runtime_error("cannot write solution database: " +

@@ -388,13 +388,6 @@ void Network::note_header_truncation() {
   if (counters_) counters_->header_truncated_flows->increment();
 }
 
-bool Network::reserve(RouterId r, int vn, std::int64_t bytes) {
-  Router& router = routers_[static_cast<std::size_t>(r)];
-  if (router.vn_used[static_cast<std::size_t>(vn)] + bytes > vn_capacity_) return false;
-  router.vn_used[static_cast<std::size_t>(vn)] += bytes;
-  return true;
-}
-
 void Network::release(RouterId r, int vn, std::int64_t bytes) {
   Router& router = routers_[static_cast<std::size_t>(r)];
   router.vn_used[static_cast<std::size_t>(vn)] -= bytes;

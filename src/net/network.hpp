@@ -184,7 +184,6 @@ class Network {
   void complete_message(Nic& nic, const Packet& last, RxMessage&& msg);
 
   // --- buffer management ---
-  bool reserve(RouterId r, int vn, std::int64_t bytes);
   void release(RouterId r, int vn, std::int64_t bytes);
   void add_waiter(RouterId r, int vn, Waiter w);
   void wake_waiters(RouterId r, int vn);

@@ -31,7 +31,7 @@
 // are only written under that guard — a detached run's event counts,
 // traces and throughput are untouched. All recorded state is virtual-time
 // only and exports are deterministically ordered, so attached output is
-// byte-identical at any --jobs and under every scheduler backend.
+// byte-identical at any --jobs.
 //
 // Output: "prdrb-scorecard-v1" JSON, written by bench::BenchMain
 // (--scorecard-out) and prdrb_sim, merged across runs with merge() (exact:

@@ -1,74 +1,11 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace prdrb {
-
-SchedulerKind resolve_scheduler(SchedulerKind kind,
-                                std::size_t expected_pending) {
-  if (kind != SchedulerKind::kAuto) return kind;
-  return expected_pending >= kAutoPendingThreshold ? SchedulerKind::kCalendar
-                                                   : SchedulerKind::kBinaryHeap;
-}
-
-std::string_view scheduler_name(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kBinaryHeap:
-      return "heap";
-    case SchedulerKind::kCalendar:
-      return "calendar";
-    case SchedulerKind::kAuto:
-      return "auto";
-  }
-  return "heap";
-}
-
-std::optional<SchedulerKind> parse_scheduler_name(std::string_view name) {
-  if (name == "heap" || name == "binary-heap") {
-    return SchedulerKind::kBinaryHeap;
-  }
-  if (name == "calendar") return SchedulerKind::kCalendar;
-  if (name == "auto") return SchedulerKind::kAuto;
-  return std::nullopt;
-}
-
-namespace {
-
-std::atomic<int> g_default_scheduler_override{-1};
-
-SchedulerKind env_scheduler() {
-  // Parsed once: the warning for a bad value should print once, and the
-  // env cannot change mid-process in any supported workflow.
-  static const SchedulerKind kind = [] {
-    const char* env = std::getenv("PRDRB_SCHED");
-    if (!env || !*env) return SchedulerKind::kBinaryHeap;
-    if (const auto parsed = parse_scheduler_name(env)) return *parsed;
-    std::fprintf(stderr,
-                 "[prdrb] unknown PRDRB_SCHED value '%s' "
-                 "(expected heap|calendar|auto); using heap\n",
-                 env);
-    return SchedulerKind::kBinaryHeap;
-  }();
-  return kind;
-}
-
-}  // namespace
-
-SchedulerKind default_scheduler() {
-  const int override_kind = g_default_scheduler_override.load();
-  if (override_kind >= 0) return static_cast<SchedulerKind>(override_kind);
-  return env_scheduler();
-}
-
-void set_default_scheduler(SchedulerKind kind) {
-  g_default_scheduler_override.store(static_cast<int>(kind));
-}
 
 void EventQueue::heap_remove_top() {
   std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
@@ -78,8 +15,8 @@ void EventQueue::heap_remove_top() {
 EventId EventQueue::schedule(SimTime when, Action action) {
   if (std::isnan(when)) {
     // A NaN time would silently corrupt event_entry_less ordering: the heap
-    // invariant breaks without tripping any assert, and the calendar maps
-    // NaN to day zero via epoch_of. Fail loudly at the source instead.
+    // invariant breaks without tripping any assert. Fail loudly at the
+    // source instead.
     throw std::invalid_argument("EventQueue::schedule: event time is NaN");
   }
   std::uint32_t slot;
@@ -96,13 +33,8 @@ EventId EventQueue::schedule(SimTime when, Action action) {
   Slot& cell = slots_[slot];
   cell.action = std::move(action);
   cell.key = id;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_.push_back(EventEntry{when, id});
-    std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
-  } else {
-    cell.when = when;
-    cell.node = calendar_.push(EventEntry{when, id});
-  }
+  heap_.push_back(EventEntry{when, id});
+  std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
   return id;
 }
 
@@ -120,22 +52,7 @@ void EventQueue::cancel(EventId id) {
   // key compare and is a true no-op; only ids still pending can add a
   // tombstone, so tombstones_ stays bounded by size().
   if (slot >= slots_.size() || slots_[slot].key != id) return;
-  const CalendarIndex::NodeRef node = slots_[slot].node;
-  const SimTime when = slots_[slot].when;
   retire(slot);
-  if (kind_ == SchedulerKind::kCalendar) {
-    // Eager unlink: O(1) via the slot-stored tie-chain handle when one
-    // exists and is still current; otherwise the (time, key) overload
-    // covers inline minima — including entries whose handle went stale
-    // when a chain promotion moved them into the inline slot. When neither
-    // finds the entry it has been drained into the current dispatch batch,
-    // whose execution loop consumes the tombstone.
-    if ((node == CalendarIndex::kNoNode || !calendar_.remove_ref(node, id)) &&
-        !calendar_.remove(when, id)) {
-      ++tombstones_;
-    }
-    return;
-  }
   ++tombstones_;
   purge_top();  // keep the "non-empty heap has a live top" invariant
 }
@@ -149,79 +66,16 @@ void EventQueue::purge_top() {
   }
 }
 
-SimTime EventQueue::next_time() const {
-  if (batch_pos_ < batch_.size()) return batch_time_;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    return heap_.empty() ? kTimeInfinity : heap_.front().time;
-  }
-  return calendar_.empty() ? kTimeInfinity : calendar_.min_time();
-}
-
 EventQueue::Fired EventQueue::pop() {
-  assert(batch_pos_ == batch_.size() && "pop() during batch dispatch");
   assert(!empty() && "pop() requires a live event");
-  EventEntry e;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    e = heap_.front();
-    heap_remove_top();
-  } else {
-    e = calendar_.pop_min();
-  }
+  const EventEntry e = heap_.front();
+  heap_remove_top();
   const auto slot = static_cast<std::uint32_t>(e.key & kSlotMask);
-  assert(slots_[slot].key == e.key && "backend minimum must be live");
+  assert(slots_[slot].key == e.key && "heap top must be live");
   Fired fired{e.time, std::move(slots_[slot].action)};
   retire(slot);
-  if (kind_ == SchedulerKind::kBinaryHeap) purge_top();
+  purge_top();
   return fired;
-}
-
-SimTime EventQueue::begin_batch() {
-  assert(batch_pos_ == batch_.size() && "previous batch not fully consumed");
-  assert(!empty() && "begin_batch() requires a live event");
-  batch_.clear();
-  batch_pos_ = 0;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    // Successive top-pops come out in (time, key) order, so the drained
-    // same-time run is already key-sorted; stale entries surfacing inside
-    // the run are dropped here instead of via purge_top.
-    const SimTime t = heap_.front().time;
-    batch_time_ = t;
-    while (!heap_.empty() && heap_.front().time == t) {
-      const EventEntry top = heap_.front();
-      heap_remove_top();
-      if (slots_[top.key & kSlotMask].key == top.key) {
-        batch_.push_back(top);
-      } else {
-        --tombstones_;
-      }
-    }
-    purge_top();
-  } else {
-    // All calendar entries are live (eager cancel), and the tie chain
-    // drains already key-ascending — deterministic dispatch with no sort.
-    batch_time_ = calendar_.min_time();
-    calendar_.pop_ready(batch_);
-  }
-  return batch_time_;
-}
-
-bool EventQueue::next_batch_action(Action& out) {
-  while (batch_pos_ < batch_.size()) {
-    const EventEntry e = batch_[batch_pos_++];
-    const auto slot = static_cast<std::uint32_t>(e.key & kSlotMask);
-    if (slots_[slot].key != e.key) {
-      // Cancelled by an earlier action of this same batch: honour it, and
-      // consume the tombstone cancel() charged for the drained entry.
-      --tombstones_;
-      continue;
-    }
-    out = std::move(slots_[slot].action);
-    retire(slot);
-    return true;
-  }
-  batch_.clear();
-  batch_pos_ = 0;
-  return false;
 }
 
 }  // namespace prdrb

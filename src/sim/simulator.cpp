@@ -4,31 +4,25 @@
 
 namespace prdrb {
 
+// The asserts let NaN through to EventQueue::schedule, which throws.
 EventId Simulator::schedule_in(SimTime delay, EventQueue::Action action) {
-  assert(delay >= 0);
+  assert(!(delay < 0));
   return queue_.schedule(now_ + delay, std::move(action));
 }
 
 EventId Simulator::schedule_at(SimTime when, EventQueue::Action action) {
-  assert(when >= now_);
+  assert(!(when < now_));
   return queue_.schedule(when, std::move(action));
 }
 
 std::uint64_t Simulator::run_until(SimTime horizon) {
   std::uint64_t count = 0;
-  EventQueue::Action action;
-  while (!queue_.empty()) {
-    const SimTime t = queue_.next_time();
-    if (!(t < horizon)) break;
-    assert(t >= now_);
-    now_ = queue_.begin_batch();
-    // Actions may schedule at now_ (forming the next batch at the same
-    // time) or cancel later batch members (skipped inside the queue).
-    while (queue_.next_batch_action(action)) {
-      action();
-      ++count;
-      action = EventQueue::Action{};  // drop captures before the next move
-    }
+  while (!queue_.empty() && queue_.next_time() < horizon) {
+    EventQueue::Fired fired = queue_.pop();
+    assert(fired.time >= now_);
+    now_ = fired.time;
+    fired.action();
+    ++count;
   }
   if (horizon != kTimeInfinity && now_ < horizon) now_ = horizon;
   executed_ += count;

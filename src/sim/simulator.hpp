@@ -2,12 +2,10 @@
 //
 // This replaces the OPNET Modeler engine used in the thesis: components
 // schedule callbacks (state-machine transitions) on a shared queue, and the
-// kernel advances virtual time from event to event. The run loop dispatches
-// in same-timestamp batches (see EventQueue's batch API): all events at the
-// earliest time are drained once and executed in scheduling order, which is
-// provably the same order the per-event loop produced — events a batch
-// action schedules at the current time carry strictly larger sequence
-// numbers and simply form the next batch at the same timestamp.
+// kernel advances virtual time from event to event. The run loop pops one
+// event at a time in (time, scheduling sequence) order; an action that
+// schedules at the current time gets a larger sequence number than every
+// pending event, so it runs after them, still at the current time.
 #pragma once
 
 #include <cstdint>
@@ -19,22 +17,6 @@ namespace prdrb {
 
 class Simulator {
  public:
-  /// Default-constructed simulators use the process default backend
-  /// (set_default_scheduler() / PRDRB_SCHED / binary heap).
-  Simulator() : Simulator(default_scheduler()) {}
-
-  /// `expected_pending` only matters when `kind` is kAuto: it is the
-  /// caller's estimate of the peak pending-event count (the experiment
-  /// harness computes it from topology size x injection,
-  /// expected_pending_events()), which resolve_scheduler() compares against
-  /// kAutoPendingThreshold. Concrete kinds ignore it.
-  explicit Simulator(SchedulerKind kind, std::size_t expected_pending = 0)
-      : queue_(resolve_scheduler(kind, expected_pending)) {}
-
-  /// The concrete scheduler backend this simulator was built with (kAuto
-  /// has been resolved; this is never kAuto).
-  SchedulerKind scheduler() const { return queue_.kind(); }
-
   SimTime now() const { return now_; }
 
   /// Schedule an action `delay` seconds from now (delay >= 0).

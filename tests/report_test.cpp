@@ -188,58 +188,6 @@ TEST(Report, BenchBaselineSchemaIsAccepted) {
                   .has_regression());
 }
 
-TEST(Report, ClusteredTieGateComparesRatioAgainstBaseline) {
-  // Baseline document carries the gate; measurement documents carry fresh
-  // per-op numbers. The check recomputes calendar/heap and compares it
-  // against the OLD document's max_calendar_vs_heap.
-  const auto doc = [](double heap_ns, double calendar_ns, double gate) {
-    std::ostringstream os;
-    os << R"({"schema": "prdrb-bench-baseline-v1",)"
-       << R"("end_to_end": {"events": 100,)"
-       << R"("after": {"wall_s": 1.0, "events_per_sec": 100}},)"
-       << R"("clustered_tie": {"heap_ns": )" << heap_ns
-       << R"(, "calendar_ns": )" << calendar_ns
-       << R"(, "max_calendar_vs_heap": )" << gate << "}}";
-    return os.str();
-  };
-  const JsonValue base = parsed(doc(100, 105, 1.1));
-
-  // Within the gate: info only.
-  EXPECT_FALSE(check_documents(base, parsed(doc(100, 108, 1.1)),
-                               CheckThresholds{})
-                   .has_regression());
-  // Beyond the gate: regression, downgradable by perf_warn_only.
-  const JsonValue slow = parsed(doc(100, 230, 1.1));
-  EXPECT_TRUE(check_documents(base, slow, CheckThresholds{}).has_regression());
-  CheckThresholds warn;
-  warn.perf_warn_only = true;
-  const CheckResult downgraded = check_documents(base, slow, warn);
-  EXPECT_FALSE(downgraded.has_regression());
-  bool warned = false;
-  for (const Finding& f : downgraded.findings) {
-    warned |= f.level == Finding::Level::kWarning &&
-              f.message.find("clustered-tie") != std::string::npos;
-  }
-  EXPECT_TRUE(warned) << "downgraded gate miss must still surface";
-
-  // A measurement doc without the section is flagged (warn), and a baseline
-  // without a gate cannot fail the measurement.
-  const char* kNoTie = R"({"schema": "prdrb-bench-baseline-v1",
-    "end_to_end": {"events": 100,
-                   "after": {"wall_s": 1.0, "events_per_sec": 100}}})";
-  const CheckResult missing =
-      check_documents(base, parsed(kNoTie), CheckThresholds{});
-  EXPECT_FALSE(missing.has_regression());
-  bool flagged = false;
-  for (const Finding& f : missing.findings) {
-    flagged |= f.level == Finding::Level::kWarning &&
-               f.message.find("clustered_tie") != std::string::npos;
-  }
-  EXPECT_TRUE(flagged);
-  EXPECT_FALSE(check_documents(parsed(kNoTie), slow, CheckThresholds{})
-                   .has_regression());
-}
-
 std::string scorecard_json(double hits, double misses,
                            double deliveries = 500) {
   std::ostringstream os;

@@ -1,610 +1,194 @@
-// Tests for the dual scheduler backends (binary heap vs calendar queue):
-// the equivalence contract (identical pop order, fired/cancelled counts and
-// ScenarioResults), batched same-time dispatch semantics, calendar-queue
-// internals (growth, recalibration, eager cancel), steady-state
-// allocation-freedom under the operator-new interposer, and the Parsed<T>
-// typed-error layer the factories now return.
-#include <algorithm>
-#include <cmath>
+// Tests for the event kernel's dispatch contract: EventQueue runs in
+// lockstep against a test-local reference — a std::set of (time, EventId)
+// where cancel erases — under random schedule/cancel/pop sequences, tie-heavy
+// timestamps, and actions that schedule or cancel from inside a dispatch.
+// Also the Parsed<T> typed-error layer the factories return.
 #include <cstdint>
-#include <limits>
+#include <functional>
+#include <memory>
 #include <random>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "experiment/scenario.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/simulator.hpp"
-#include "test_util.hpp"
 #include "util/parsed.hpp"
 
 namespace prdrb {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Backend selection plumbing
+// Differential fuzz: EventQueue against a reference ordered set
 
-TEST(SchedulerNames, RoundTrip) {
-  EXPECT_EQ(scheduler_name(SchedulerKind::kBinaryHeap), "heap");
-  EXPECT_EQ(scheduler_name(SchedulerKind::kCalendar), "calendar");
-  EXPECT_EQ(scheduler_name(SchedulerKind::kAuto), "auto");
-  EXPECT_EQ(parse_scheduler_name("heap"), SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(parse_scheduler_name("binary-heap"), SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(parse_scheduler_name("calendar"), SchedulerKind::kCalendar);
-  EXPECT_EQ(parse_scheduler_name("auto"), SchedulerKind::kAuto);
-  EXPECT_FALSE(parse_scheduler_name("splay").has_value());
-  EXPECT_FALSE(parse_scheduler_name("").has_value());
-}
+/// Drives one EventQueue and the reference set with the same operations and
+/// checks after every step that both agree. Every action records its own
+/// EventId when it fires; each pop() must fire exactly the reference
+/// minimum, so the whole fired sequence matches the reference order.
+class Lockstep {
+ public:
+  Lockstep() = default;
+  Lockstep(const Lockstep&) = delete;  // queued actions capture `this`
+  Lockstep& operator=(const Lockstep&) = delete;
 
-TEST(SchedulerNames, AutoResolvesByExpectedPendingScale) {
-  // Concrete kinds pass through untouched, whatever the estimate says.
-  EXPECT_EQ(resolve_scheduler(SchedulerKind::kBinaryHeap, 1u << 20),
-            SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(resolve_scheduler(SchedulerKind::kCalendar, 0),
-            SchedulerKind::kCalendar);
-  // kAuto: the threshold is the exact switch point.
-  EXPECT_EQ(resolve_scheduler(SchedulerKind::kAuto, 0),
-            SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(resolve_scheduler(SchedulerKind::kAuto, kAutoPendingThreshold - 1),
-            SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(resolve_scheduler(SchedulerKind::kAuto, kAutoPendingThreshold),
-            SchedulerKind::kCalendar);
-  // Simulator resolves at construction; scheduler() never reports kAuto.
-  EXPECT_EQ(Simulator(SchedulerKind::kAuto).scheduler(),
-            SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(Simulator(SchedulerKind::kAuto, 1u << 20).scheduler(),
-            SchedulerKind::kCalendar);
-  // A bare EventQueue has no pending-scale estimate: kAuto means the heap.
-  EXPECT_EQ(EventQueue(SchedulerKind::kAuto).kind(),
-            SchedulerKind::kBinaryHeap);
-}
-
-TEST(SchedulerNames, ExpectedPendingEventsScalesWithTopologyAndLoad) {
-  const auto mesh = make_topology("mesh-8x8").value_or_throw();
-  const auto tree = make_topology("tree-256").value_or_throw();
-  ScenarioSpec sc;  // default synthetic workload
-  const std::size_t small = expected_pending_events(*mesh, sc);
-  EXPECT_GT(small, 0u);
-  // Offered load scales the per-entity estimate (until the clamp).
-  sc.synthetic().rate_bps = 10e9;
-  EXPECT_GT(expected_pending_events(*mesh, sc), small);
-  // More entities → more expected pending events, same workload.
-  EXPECT_GT(expected_pending_events(*tree, sc),
-            expected_pending_events(*mesh, sc));
-  // Trace replays use a fixed per-entity allowance, independent of rate.
-  ScenarioSpec tr;
-  tr.trace().app = "sweep3d";
-  EXPECT_EQ(expected_pending_events(*mesh, tr),
-            static_cast<std::size_t>(8 * (mesh->num_nodes() +
-                                          mesh->num_routers())));
-}
-
-TEST(SchedulerNames, DefaultOverrideFlowsIntoSimulator) {
-  set_default_scheduler(SchedulerKind::kCalendar);
-  EXPECT_EQ(default_scheduler(), SchedulerKind::kCalendar);
-  {
-    Simulator sim;  // default ctor consults default_scheduler()
-    EXPECT_EQ(sim.scheduler(), SchedulerKind::kCalendar);
+  /// Schedule at `when` in both. `hook` (if any) runs inside the action,
+  /// after the firing is recorded, so it can schedule or cancel mid-dispatch.
+  EventId schedule(SimTime when, std::function<void()> hook = {}) {
+    const auto self = std::make_shared<EventId>(0);
+    const EventId id = q_.schedule(when, [this, self, hook = std::move(hook)] {
+      fired_.push_back(*self);
+      if (hook) hook();
+    });
+    *self = id;
+    when_of_[id] = when;
+    EXPECT_TRUE(ref_.emplace(when, id).second) << "id issued twice: " << id;
+    EXPECT_TRUE(issued_.empty() || id > issued_.back())
+        << "ids must increase in scheduling order";
+    issued_.push_back(id);
+    return id;
   }
-  set_default_scheduler(SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(default_scheduler(), SchedulerKind::kBinaryHeap);
-  // An explicit kind always wins over the process default.
-  Simulator explicit_sim(SchedulerKind::kCalendar);
-  EXPECT_EQ(explicit_sim.scheduler(), SchedulerKind::kCalendar);
-  // EventQueue's own default stays pinned to the heap regardless.
-  EXPECT_EQ(EventQueue{}.kind(), SchedulerKind::kBinaryHeap);
-}
 
-// ---------------------------------------------------------------------------
-// Differential fuzz: both backends, one op sequence, identical behaviour
+  /// Cancel in both; the reference erases only a still-pending id.
+  void cancel(EventId id) {
+    q_.cancel(id);
+    if (const auto it = when_of_.find(id); it != when_of_.end()) {
+      ref_.erase({it->second, id});
+    }
+  }
+
+  /// Pop the earliest event from both and run it.
+  void pop_and_run() {
+    ASSERT_FALSE(ref_.empty());
+    const auto want = *ref_.begin();
+    ref_.erase(ref_.begin());
+    EventQueue::Fired fired = q_.pop();
+    ASSERT_EQ(fired.time, want.first);
+    const std::size_t before = fired_.size();
+    fired.action();
+    ASSERT_EQ(fired_.size(), before + 1);
+    ASSERT_EQ(fired_[before], want.second) << "fired the wrong event";
+  }
+
+  void check() const {
+    ASSERT_EQ(q_.live(), ref_.size());
+    ASSERT_EQ(q_.empty(), ref_.empty());
+    ASSERT_EQ(q_.next_time(),
+              ref_.empty() ? kTimeInfinity : ref_.begin()->first);
+    ASSERT_LE(q_.pending_cancellations(), q_.size());
+  }
+
+  const EventQueue& queue() const { return q_; }
+  bool empty() const { return ref_.empty(); }
+  const std::vector<EventId>& issued() const { return issued_; }
+  const std::vector<EventId>& fired() const { return fired_; }
+
+ private:
+  EventQueue q_;
+  std::set<std::pair<SimTime, EventId>> ref_;
+  std::unordered_map<EventId, SimTime> when_of_;
+  std::vector<EventId> issued_;
+  std::vector<EventId> fired_;
+};
+
+/// One cancel drawn from every class the contract covers: a pending id, an
+/// id that already fired, an id never issued, and the 0 sentinel.
+EventId pick_cancel_victim(std::mt19937_64& rng, const Lockstep& ls) {
+  const std::vector<EventId>& issued = ls.issued();
+  switch (rng() % 4) {
+    case 0:
+      return issued.empty() ? 0 : issued[rng() % issued.size()];
+    case 1: {
+      const std::vector<EventId>& fired = ls.fired();
+      return fired.empty() ? 0 : fired[rng() % fired.size()];
+    }
+    case 2:  // a sequence number far beyond anything scheduled
+      return (issued.empty() ? 1 : issued.back()) + (1ull << 40);
+    default:
+      return 0;
+  }
+}
 
 TEST(SchedulerDifferential, FuzzedScheduleCancelPopMatchExactly) {
   std::mt19937_64 rng(0xC0FFEEu);
   for (int trial = 0; trial < 8; ++trial) {
-    EventQueue heap(SchedulerKind::kBinaryHeap);
-    EventQueue cal(SchedulerKind::kCalendar);
-    std::vector<EventId> ids;  // identical in both queues (asserted below)
-    std::vector<std::pair<SimTime, int>> fired_heap, fired_cal;
-    int next_marker = 0;
+    Lockstep ls;
     double base = 0.0;
-
-    const auto drain_one_batch = [](EventQueue& q,
-                                    std::vector<std::pair<SimTime, int>>&) {
-      const SimTime t = q.begin_batch();
-      EventQueue::Action a;
-      while (q.next_batch_action(a)) a();
-      return t;
-    };
-
     for (int op = 0; op < 3000; ++op) {
       const std::uint64_t roll = rng() % 100;
-      if (roll < 55) {
-        // Schedule: clustered times with deliberate exact duplicates, the
-        // occasional far-future outlier to stress the calendar's year scan.
+      if (roll < 50) {
+        // Clustered times with exact duplicates and far-future outliers.
         SimTime when = base + static_cast<double>(rng() % 16) * 0.25e-6;
         if (rng() % 20 == 0) when = base + 1e3;
         if (rng() % 50 == 0) when = base;  // exact tie
-        const int marker = next_marker++;
-        const EventId ih = heap.schedule(when, [&fired_heap, when, marker] {
-          fired_heap.emplace_back(when, marker);
-        });
-        const EventId ic = cal.schedule(when, [&fired_cal, when, marker] {
-          fired_cal.emplace_back(when, marker);
-        });
-        ASSERT_EQ(ih, ic) << "EventId streams diverged";
-        ids.push_back(ih);
+        ls.schedule(when);
         base += static_cast<double>(rng() % 3) * 0.1e-6;
-      } else if (roll < 75) {
-        if (ids.empty()) continue;
-        // Cancel a random id: may be live, fired, or already cancelled —
-        // the same call must be the same (no-)op on both backends.
-        const EventId victim = ids[rng() % ids.size()];
-        heap.cancel(victim);
-        cal.cancel(victim);
-      } else if (roll < 90) {
-        if (heap.empty()) continue;
-        auto fh = heap.pop();
-        auto fc = cal.pop();
-        ASSERT_EQ(fh.time, fc.time);
-        fh.action();
-        fc.action();
-      } else {
-        if (heap.empty()) continue;
-        const SimTime th = drain_one_batch(heap, fired_heap);
-        const SimTime tc = drain_one_batch(cal, fired_cal);
-        ASSERT_EQ(th, tc);
+      } else if (roll < 58) {
+        // Same-time self-scheduling: the child runs at the parent's time,
+        // after every event already pending at that time.
+        const SimTime when = base + static_cast<double>(rng() % 4) * 0.25e-6;
+        ls.schedule(when, [&ls, when] { ls.schedule(when); });
+      } else if (roll < 64) {
+        // Cancel from inside a running action: the victim is scheduled
+        // later at the same time, so it is still pending when the action
+        // runs and must never fire.
+        const SimTime when = base + 0.5e-6;
+        const auto victim = std::make_shared<EventId>(0);
+        ls.schedule(when, [&ls, victim] { ls.cancel(*victim); });
+        *victim = ls.schedule(when);
+      } else if (roll < 82) {
+        ls.cancel(pick_cancel_victim(rng, ls));
+      } else if (!ls.empty()) {
+        ls.pop_and_run();
       }
-      ASSERT_EQ(heap.live(), cal.live()) << "live counts diverged at op "
-                                         << op;
-      ASSERT_EQ(heap.empty(), cal.empty());
-      if (!heap.empty()) {
-        ASSERT_EQ(heap.next_time(), cal.next_time());
-      }
+      ls.check();
+      if (::testing::Test::HasFatalFailure()) return;
     }
-    while (!heap.empty()) {
-      auto fh = heap.pop();
-      auto fc = cal.pop();
-      ASSERT_EQ(fh.time, fc.time);
-      fh.action();
-      fc.action();
+    while (!ls.empty()) {
+      ls.pop_and_run();
+      ls.check();
+      if (::testing::Test::HasFatalFailure()) return;
     }
-    EXPECT_TRUE(cal.empty());
-    EXPECT_EQ(heap.pending_cancellations(), 0u);
-    EXPECT_EQ(cal.pending_cancellations(), 0u);
-    // The heart of the contract: the full (time, marker) firing sequence is
-    // identical, so every downstream simulation is bit-for-bit reproducible
-    // under either backend.
-    ASSERT_EQ(fired_heap, fired_cal) << "trial " << trial;
+    EXPECT_EQ(ls.queue().pending_cancellations(), 0u) << "trial " << trial;
+    EXPECT_EQ(ls.queue().size(), 0u) << "trial " << trial;
   }
 }
 
 // Tie-heavy regime: 10k+ events packed onto <= 8 distinct timestamps, with
-// interleaved mid-batch cancels — the clustered-tie shape that degraded the
-// flat-bucket calendar to O(T^2) and rebuild storms. Three queues run the
-// same op sequence in EventId lockstep: heap, calendar, and an
-// auto-resolved backend (kAuto at deep pending scale, i.e. the calendar).
+// cancels before each drain and from inside running actions.
 TEST(SchedulerDifferential, TieHeavyClusteredTimestampsMatchExactly) {
   std::mt19937_64 rng(0xBEEFu);
-  EventQueue heap(SchedulerKind::kBinaryHeap);
-  EventQueue cal(SchedulerKind::kCalendar);
-  EventQueue auto_q(resolve_scheduler(SchedulerKind::kAuto, 1u << 20));
-  ASSERT_EQ(auto_q.kind(), SchedulerKind::kCalendar);
-  EventQueue* queues[] = {&heap, &cal, &auto_q};
-
-  std::vector<std::pair<SimTime, int>> fired[3];
-  std::vector<EventId> live_ids;
-  int next_marker = 0;
-  const auto schedule_tie = [&](SimTime when) {
-    const int marker = next_marker++;
-    EventId ids[3];
-    for (int qi = 0; qi < 3; ++qi) {
-      ids[qi] = queues[qi]->schedule(when, [&fired, qi, when, marker] {
-        fired[qi].emplace_back(when, marker);
-      });
-    }
-    ASSERT_EQ(ids[0], ids[1]);
-    ASSERT_EQ(ids[0], ids[2]);
-    live_ids.push_back(ids[0]);
-  };
-
+  Lockstep ls;
   double base = 0.0;
   for (int round = 0; round < 10; ++round) {
-    // 1200 events per round, all landing on 8 distinct ticks.
+    std::vector<EventId> round_ids;
     for (int i = 0; i < 1200; ++i) {
-      schedule_tie(base + static_cast<double>(rng() % 8) * 1e-6);
-    }
-    // Pre-drain cancels: ~15 % of everything still tracked.
-    for (std::size_t i = 0; i < live_ids.size() / 7; ++i) {
-      const EventId victim = live_ids[rng() % live_ids.size()];
-      for (EventQueue* q : queues) q->cancel(victim);
-    }
-    // Drain all 8 ticks batch-wise; every ~16th action cancels a random id
-    // mid-batch (may hit an entry already drained into this very batch).
-    while (!heap.empty()) {
-      SimTime t[3];
-      for (int qi = 0; qi < 3; ++qi) t[qi] = queues[qi]->begin_batch();
-      ASSERT_EQ(t[0], t[1]);
-      ASSERT_EQ(t[0], t[2]);
-      EventQueue::Action a;
-      int step = 0;
-      for (int qi = 0; qi < 3; ++qi) {
-        std::mt19937_64 batch_rng(0xABBAu + round);  // same stream per queue
-        step = 0;
-        while (queues[qi]->next_batch_action(a)) {
-          a();
-          if (++step % 16 == 0 && !live_ids.empty()) {
-            queues[qi]->cancel(live_ids[batch_rng() % live_ids.size()]);
-          }
-        }
-      }
-      for (int qi = 1; qi < 3; ++qi) {
-        ASSERT_EQ(queues[0]->live(), queues[qi]->live());
-        ASSERT_EQ(queues[0]->empty(), queues[qi]->empty());
+      const SimTime when = base + static_cast<double>(rng() % 8) * 1e-6;
+      if (i % 16 == 0) {
+        // Every 16th action cancels a random event of this round, which
+        // may be pending, already fired, or already cancelled.
+        ls.schedule(when, [&ls, &round_ids, &rng] {
+          ls.cancel(round_ids[rng() % round_ids.size()]);
+        });
+      } else {
+        round_ids.push_back(ls.schedule(when));
       }
     }
-    live_ids.clear();
+    for (std::size_t i = 0; i < round_ids.size() / 7; ++i) {
+      ls.cancel(round_ids[rng() % round_ids.size()]);
+    }
+    ls.check();
+    while (!ls.empty()) {
+      ls.pop_and_run();
+      ls.check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
     base += 1.0;
   }
-  ASSERT_GT(next_marker, 10000) << "meant to be a 10k+ event stress";
-  EXPECT_EQ(fired[0], fired[1]);
-  EXPECT_EQ(fired[0], fired[2]);
-  // The calendar served the tie runs through chain promotion, and
-  // group-based occupancy kept 8 distinct ticks from ever growing the
-  // bucket array (the old entry-counted design rebuilt incessantly here).
-  EXPECT_GT(cal.sched_tie_chain_pops(), 9000u);
-  EXPECT_EQ(cal.sched_rebuilds(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Batched same-time dispatch
-
-class BatchDispatch : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(BatchDispatch, DrainsSameTimeRunInSchedulingOrder) {
-  EventQueue q(GetParam());
-  std::vector<int> order;
-  q.schedule(2e-6, [&] { order.push_back(99); });  // later time: not drained
-  for (int i = 0; i < 8; ++i) {
-    q.schedule(1e-6, [&order, i] { order.push_back(i); });
-  }
-  EXPECT_EQ(q.begin_batch(), 1e-6);
-  EventQueue::Action a;
-  while (q.next_batch_action(a)) a();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-  EXPECT_EQ(q.live(), 1u);
-  EXPECT_EQ(q.next_time(), 2e-6);
-}
-
-TEST_P(BatchDispatch, MidBatchCancelIsHonoured) {
-  EventQueue q(GetParam());
-  std::vector<int> order;
-  EventId victim = 0;
-  q.schedule(1e-6, [&] {
-    order.push_back(0);
-    q.cancel(victim);  // cancels an entry already drained into this batch
-  });
-  q.schedule(1e-6, [&] { order.push_back(1); });
-  victim = q.schedule(1e-6, [&] { order.push_back(2); });
-  q.begin_batch();
-  EventQueue::Action a;
-  while (q.next_batch_action(a)) a();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pending_cancellations(), 0u) << "batch tombstone not consumed";
-}
-
-TEST_P(BatchDispatch, SameTimeSelfSchedulingFormsNextBatch) {
-  // An action scheduling at its own timestamp must run at that time, after
-  // the whole current batch — the order per-event pop() would produce.
-  Simulator sim(GetParam());
-  std::vector<int> order;
-  sim.schedule_at(1e-6, [&] {
-    order.push_back(0);
-    sim.schedule_at(1e-6, [&] { order.push_back(2); });
-  });
-  sim.schedule_at(1e-6, [&] { order.push_back(1); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(sim.now(), 1e-6);
-  EXPECT_EQ(sim.events_executed(), 3u);
-}
-
-TEST_P(BatchDispatch, NaNScheduleThrowsAndCorruptsNothing) {
-  // A NaN timestamp compares false against everything: it would silently
-  // break the heap ordering invariant and collapse the calendar's epoch
-  // mapping. Both backends must reject it before any state changes.
-  EventQueue q(GetParam());
-  q.schedule(1e-6, [] {});
-  EXPECT_THROW(q.schedule(std::nan(""), [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule(-std::numeric_limits<double>::quiet_NaN(), [] {}),
-               std::invalid_argument);
-  EXPECT_EQ(q.live(), 1u) << "failed schedule must not leak a slot";
-  EXPECT_EQ(q.pop().time, 1e-6);
-  EXPECT_TRUE(q.empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(BothBackends, BatchDispatch,
-                         ::testing::Values(SchedulerKind::kBinaryHeap,
-                                           SchedulerKind::kCalendar));
-
-// ---------------------------------------------------------------------------
-// Calendar-queue internals
-
-TEST(CalendarIndex, DrainsInSortedOrderAndGrows) {
-  CalendarIndex ci;
-  std::mt19937_64 rng(7);
-  std::vector<EventEntry> ref;
-  for (std::uint64_t k = 1; k <= 10000; ++k) {
-    const SimTime t = static_cast<double>(rng() % 100000) * 1e-7;
-    ci.push(EventEntry{t, k});
-    ref.push_back(EventEntry{t, k});
-  }
-  EXPECT_GE(ci.resizes(), 1u) << "10k entries must have grown the bucket "
-                                 "array";
-  EXPECT_GT(ci.bucket_count(), 16u);
-  std::sort(ref.begin(), ref.end(), event_entry_less);
-  for (const EventEntry& want : ref) {
-    ASSERT_FALSE(ci.empty());
-    EXPECT_EQ(ci.min_time(), want.time);
-    const EventEntry got = ci.pop_min();
-    ASSERT_EQ(got.time, want.time);
-    ASSERT_EQ(got.key, want.key);
-  }
-  EXPECT_TRUE(ci.empty());
-}
-
-TEST(CalendarIndex, EagerRemoveUpdatesMin) {
-  CalendarIndex ci;
-  ci.push(EventEntry{1e-6, 1});
-  ci.push(EventEntry{2e-6, 2});
-  ci.push(EventEntry{2e-6, 3});
-  EXPECT_TRUE(ci.remove(1e-6, 1));  // removing the minimum re-finds it
-  EXPECT_EQ(ci.min_time(), 2e-6);
-  EXPECT_EQ(ci.min().key, 2u);
-  EXPECT_FALSE(ci.remove(1e-6, 1)) << "double remove must report absence";
-  EXPECT_FALSE(ci.remove(2e-6, 99));
-  EXPECT_TRUE(ci.remove(2e-6, 3));  // removing a non-min leaves min cached
-  EXPECT_EQ(ci.min().key, 2u);
-  EXPECT_EQ(ci.size(), 1u);
-}
-
-TEST(CalendarIndex, HandlesExtremeTimesWithoutOverflow) {
-  // Epochs are clamped, so huge / infinite times must coexist with normal
-  // ones and still drain in order.
-  CalendarIndex ci;
-  ci.push(EventEntry{kTimeInfinity, 4});
-  ci.push(EventEntry{1e300, 3});
-  ci.push(EventEntry{1e-9, 1});
-  ci.push(EventEntry{5.0, 2});
-  EXPECT_EQ(ci.pop_min().key, 1u);
-  EXPECT_EQ(ci.pop_min().key, 2u);
-  EXPECT_EQ(ci.pop_min().key, 3u);
-  EXPECT_EQ(ci.pop_min().key, 4u);
-}
-
-TEST(CalendarIndex, TieChainPromotesMinInConstantTime) {
-  CalendarIndex ci;
-  for (std::uint64_t k = 1; k <= 1000; ++k) {
-    ci.push(EventEntry{1e-6, k});
-  }
-  EXPECT_EQ(ci.distinct_times(), 1u) << "one timestamp = one tie group";
-  EXPECT_EQ(ci.bucket_count(), 16u) << "ties must not inflate occupancy";
-  EXPECT_EQ(ci.resizes(), 0u);
-  for (std::uint64_t k = 1; k <= 1000; ++k) {
-    ASSERT_EQ(ci.min().key, k);
-    ASSERT_EQ(ci.pop_min().key, k);
-  }
-  EXPECT_TRUE(ci.empty());
-  // Every pop after the first promoted the chain successor in O(1) instead
-  // of rescanning the bucket.
-  EXPECT_EQ(ci.tie_chain_pops(), 999u);
-}
-
-TEST(CalendarIndex, GroupOccupancyIgnoresTieDepth) {
-  // 10k entries on 8 distinct timestamps: the entry-counted design grew the
-  // bucket array toward 8k buckets chasing a density no width can achieve.
-  CalendarIndex ci;
-  std::mt19937_64 rng(3);
-  for (std::uint64_t k = 1; k <= 10000; ++k) {
-    ci.push(EventEntry{static_cast<double>(rng() % 8) * 1e-6, k});
-  }
-  EXPECT_EQ(ci.distinct_times(), 8u);
-  EXPECT_EQ(ci.bucket_count(), 16u);
-  EXPECT_EQ(ci.resizes(), 0u) << "tie depth must not trigger rebuilds";
-  SimTime prev = -1.0;
-  std::uint64_t prev_key = 0;
-  while (!ci.empty()) {
-    const EventEntry e = ci.pop_min();
-    ASSERT_TRUE(e.time > prev || (e.time == prev && e.key > prev_key));
-    prev = e.time;
-    prev_key = e.key;
-  }
-}
-
-TEST(CalendarIndex, OutOfOrderKeysKeepChainsSorted) {
-  // EventQueue issues keys monotonically (tail-append fast path), but the
-  // chain invariant must hold for any push order.
-  CalendarIndex ci;
-  for (const std::uint64_t k : {7u, 3u, 9u, 1u, 5u}) {
-    ci.push(EventEntry{2e-6, k});
-  }
-  ci.push(EventEntry{5e-6, 2});
-  std::vector<EventEntry> out;
-  ci.pop_ready(out);
-  ASSERT_EQ(out.size(), 5u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].time, 2e-6);
-    if (i) EXPECT_LT(out[i - 1].key, out[i].key) << "pop_ready must be "
-                                                    "key-sorted";
-  }
-  EXPECT_EQ(ci.min().key, 2u);
-  EXPECT_EQ(ci.size(), 1u);
-}
-
-TEST(CalendarIndex, RemoveRefUnlinksAnyChainPosition) {
-  CalendarIndex ci;
-  CalendarIndex::NodeRef refs[6];
-  for (std::uint64_t k = 1; k <= 5; ++k) {
-    refs[k] = ci.push(EventEntry{1e-6, k});
-  }
-  // The first entry at a timestamp is the group's inline minimum and has no
-  // handle; every later same-tick push joins the chain and gets one.
-  EXPECT_EQ(refs[1], CalendarIndex::kNoNode);
-  for (std::uint64_t k = 2; k <= 5; ++k) {
-    EXPECT_NE(refs[k], CalendarIndex::kNoNode) << k;
-  }
-  EXPECT_TRUE(ci.remove_ref(refs[3], 3));   // mid-chain
-  EXPECT_TRUE(ci.remove_ref(refs[5], 5));   // tail
-  // The inline minimum must go through the (time, key) overload, which
-  // promotes its chain successor.
-  EXPECT_TRUE(ci.remove(1e-6, 1));
-  EXPECT_EQ(ci.min().key, 2u);
-  EXPECT_FALSE(ci.remove_ref(refs[3], 3)) << "double remove must fail";
-  EXPECT_EQ(ci.pop_min().key, 2u);
-  // Key 4 was promoted inline when 2 popped: its NodeRef is stale now, and
-  // the cancel path's fallback contract says remove(time, key) still works.
-  EXPECT_FALSE(ci.remove_ref(refs[4], 4))
-      << "a promoted entry's chain handle must be stale";
-  EXPECT_TRUE(ci.remove(1e-6, 4));
-  EXPECT_TRUE(ci.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Allocation-freedom (operator-new interposer, test_util.hpp)
-
-TEST(Allocations, CalendarSteadyStateIsAllocationFree) {
-  EventQueue q(SchedulerKind::kCalendar);
-  std::uint64_t sink = 0;
-  // Warm-up phase 1: deep fill so the slot array, free list and bucket
-  // array reach their high-water sizes.
-  for (int i = 0; i < 128; ++i) {
-    q.schedule(static_cast<SimTime>(i), [&sink, i] {
-      sink += static_cast<std::uint64_t>(i);
-    });
-  }
-  while (!q.empty()) q.pop().action();
-  // Warm-up phase 2: run the steady-state pattern long enough for the
-  // advancing epoch to cycle through every bucket several times, so each
-  // bucket vector has seen its worst-case occupancy and keeps capacity.
-  auto round = [&](int r) {
-    for (int i = 0; i < 4; ++i) {
-      q.schedule(static_cast<SimTime>(r * 4 + i), [&sink, i] {
-        sink += static_cast<std::uint64_t>(i);
-      });
-    }
-    while (!q.empty()) q.pop().action();
-  };
-  int r = 0;
-  for (; r < 4000; ++r) round(r);
-
-  test::AllocationScope scope;
-  for (int measured = 0; measured < 1000; ++measured) round(r++);
-  EXPECT_EQ(scope.count(), 0u) << "calendar steady-state allocated";
-  EXPECT_GT(sink, 0u);
-}
-
-TEST(Allocations, BatchDispatchScratchIsReusedAllocationFree) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kBinaryHeap, SchedulerKind::kCalendar}) {
-    EventQueue q(kind);
-    std::uint64_t sink = 0;
-    auto round = [&](int r) {
-      for (int i = 0; i < 16; ++i) {  // 16 events sharing one timestamp
-        q.schedule(static_cast<SimTime>(r), [&sink, i] {
-          sink += static_cast<std::uint64_t>(i);
-        });
-      }
-      while (!q.empty()) {
-        q.begin_batch();
-        EventQueue::Action a;
-        while (q.next_batch_action(a)) a();
-      }
-    };
-    int r = 0;
-    for (; r < 4000; ++r) round(r);
-    test::AllocationScope scope;
-    for (int measured = 0; measured < 500; ++measured) round(r++);
-    EXPECT_EQ(scope.count(), 0u)
-        << "batch dispatch allocated (" << scheduler_name(kind) << ")";
-  }
-}
-
-TEST(Allocations, TieChainSteadyStateIsAllocationFree) {
-  // The clustered-tie pattern: 64 coresident events per tick, batch-drained.
-  // Once the node pool, slot array and batch scratch reach their high-water
-  // sizes, pushing/promoting/draining tie chains must never allocate.
-  EventQueue q(SchedulerKind::kCalendar);
-  std::uint64_t sink = 0;
-  auto round = [&](int r) {
-    for (int i = 0; i < 64; ++i) {
-      q.schedule(static_cast<SimTime>(r), [&sink, i] {
-        sink += static_cast<std::uint64_t>(i);
-      });
-    }
-    while (!q.empty()) {
-      q.begin_batch();
-      EventQueue::Action a;
-      while (q.next_batch_action(a)) a();
-    }
-  };
-  int r = 0;
-  for (; r < 4000; ++r) round(r);
-  test::AllocationScope scope;
-  for (int measured = 0; measured < 500; ++measured) round(r++);
-  EXPECT_EQ(scope.count(), 0u) << "tie-chain steady state allocated";
-  EXPECT_GT(q.sched_tie_chain_pops(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end equivalence: full scenarios, byte-identical results
-
-TEST(SchedulerEquivalence, ScenarioResultsAreIdenticalAcrossBackends) {
-  // pr-fr-drb exercises the cancel path hard: FR-DRB arms one watchdog per
-  // in-flight message and cancels it on ACK.
-  ScenarioSpec sc;
-  sc.topology = "mesh-4x4";
-  sc.synthetic().pattern = "uniform";
-  sc.synthetic().rate_bps = 600e6;
-  sc.synthetic().bursts = 2;
-  sc.synthetic().burst_len = 0.5e-3;
-  sc.synthetic().gap_len = 0.5e-3;
-  sc.synthetic().duration = 2e-3;
-  sc.seed = 11;
-  sc.bin_width = 0.5e-3;
-  for (const std::string policy : {"pr-fr-drb", "drb"}) {
-    auto heap_sc = sc;
-    heap_sc.sched = SchedulerKind::kBinaryHeap;
-    auto cal_sc = sc;
-    cal_sc.sched = SchedulerKind::kCalendar;
-    auto auto_sc = sc;
-    auto_sc.sched = SchedulerKind::kAuto;  // resolves via expected pending
-    const ScenarioResult a = run_scenario(policy, heap_sc);
-    const ScenarioResult b = run_scenario(policy, cal_sc);
-    const ScenarioResult c = run_scenario(policy, auto_sc);
-    // Defaulted operator== — every field, full time series, exact doubles.
-    EXPECT_EQ(a, b) << policy;
-    EXPECT_EQ(a, c) << policy << " (auto must only pick, never perturb)";
-    EXPECT_GT(a.events, 0u);
-  }
-}
-
-TEST(SchedulerEquivalence, TraceReplayIsIdenticalAcrossBackends) {
-  ScenarioSpec sc;
-  sc.topology = "tree-16";
-  sc.trace().app = "sweep3d";
-  sc.trace().scale.iterations = 2;
-  auto heap_sc = sc;
-  heap_sc.sched = SchedulerKind::kBinaryHeap;
-  auto cal_sc = sc;
-  cal_sc.sched = SchedulerKind::kCalendar;
-  const ScenarioResult a = run_scenario("pr-drb", heap_sc);
-  const ScenarioResult b = run_scenario("pr-drb", cal_sc);
-  EXPECT_EQ(a, b);
-  EXPECT_GE(a.exec_time, 0.0) << "trace must finish";
+  ASSERT_GT(ls.issued().size(), 10000u) << "meant to be a 10k+ event stress";
+  EXPECT_EQ(ls.queue().pending_cancellations(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -614,21 +198,21 @@ TEST(Parsed, EditDistanceAndNearestName) {
   EXPECT_EQ(edit_distance("kitten", "sitting"), 3u);
   EXPECT_EQ(edit_distance("", "abc"), 3u);
   EXPECT_EQ(edit_distance("drb", "drb"), 0u);
-  const std::vector<std::string_view> names{"heap", "calendar"};
-  EXPECT_EQ(nearest_name("calender", names), "calendar");
-  EXPECT_EQ(nearest_name("heep", names), "heap");
+  const std::vector<std::string_view> names{"uniform", "tornado"};
+  EXPECT_EQ(nearest_name("tornadoe", names), "tornado");
+  EXPECT_EQ(nearest_name("unifrom", names), "uniform");
   EXPECT_EQ(nearest_name("xyzzy-long-typo", names), "")
       << "wild typos must not produce absurd suggestions";
 }
 
 TEST(Parsed, ErrorCarriesDiagnosticAndThrows) {
   ParseError err;
-  err.input = "calender";
-  err.kind = "scheduler";
-  err.message = "unknown scheduler";
-  err.suggestion = "calendar";
+  err.input = "tornadoe";
+  err.kind = "pattern";
+  err.message = "unknown pattern";
+  err.suggestion = "tornado";
   EXPECT_EQ(err.what(),
-            "unknown scheduler 'calender' (did you mean 'calendar'?)");
+            "unknown pattern 'tornadoe' (did you mean 'tornado'?)");
   Parsed<int> bad{err};
   EXPECT_FALSE(bad.ok());
   EXPECT_THROW(bad.value_or_throw(), std::invalid_argument);

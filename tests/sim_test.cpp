@@ -1,5 +1,8 @@
 #include <array>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -245,6 +248,70 @@ TEST(Simulator, ZeroDelayEventRunsAtCurrentTime) {
   });
   sim.run();
   EXPECT_DOUBLE_EQ(t, 1.0);
+}
+
+
+TEST(Simulator, SameTimeEventsRunInSchedulingOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(2e-6, [&] { order.push_back(99); });  // later time
+  for (int i = 0; i < 8; ++i) {
+    sim.schedule_at(1e-6, [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.run_until(1.5e-6), 8u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(sim.queue().live(), 1u);
+  EXPECT_EQ(sim.queue().next_time(), 2e-6);
+}
+
+TEST(Simulator, CancelFromEarlierSameTimeActionIsHonoured) {
+  Simulator sim;
+  std::vector<int> order;
+  EventId victim = 0;
+  sim.schedule_at(1e-6, [&] {
+    order.push_back(0);
+    sim.cancel(victim);  // a later event at this same time
+  });
+  sim.schedule_at(1e-6, [&] { order.push_back(1); });
+  victim = sim.schedule_at(1e-6, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.queue().pending_cancellations(), 0u);
+}
+
+TEST(Simulator, SameTimeSelfSchedulingRunsAfterPendingEvents) {
+  // An action scheduling at its own timestamp runs at that time, after
+  // every event already pending there.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1e-6, [&] {
+    order.push_back(0);
+    sim.schedule_at(1e-6, [&] { order.push_back(2); });
+  });
+  sim.schedule_at(1e-6, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.now(), 1e-6);
+  EXPECT_EQ(sim.events_executed(), 3u);
+}
+
+TEST(Simulator, NaNTimeThrowsAndCorruptsNothing) {
+  // A NaN timestamp compares false against everything and would silently
+  // break the heap ordering invariant; it is rejected before any state
+  // changes.
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(1e-6, [&] { ++fired; });
+  EXPECT_THROW(sim.schedule_at(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_in(-std::numeric_limits<double>::quiet_NaN(),
+                               [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.queue().live(), 1u) << "failed schedule must not leak a slot";
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 1e-6);
 }
 
 }  // namespace
