@@ -20,6 +20,13 @@ struct ChaosCase {
   int messages;
 };
 
+// CTest names each case after this value; the default byte dump holds the
+// string addresses, which change from one test discovery to the next.
+void PrintTo(const ChaosCase& c, std::ostream* os) {
+  *os << c.topology << ' ' << c.policy << " seed " << c.seed << ' '
+      << c.messages << " msgs";
+}
+
 class ChaosProperty : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(ChaosProperty, ConservationHolds) {

@@ -29,6 +29,16 @@ struct NdCase {
   bool wrap;
 };
 
+// Prints the shape as MeshND::name() does ("torus-3x3x3"). CTest names each
+// case after this value; the default byte dump holds heap addresses, which
+// change from one test discovery to the next.
+void PrintTo(const NdCase& c, std::ostream* os) {
+  *os << (c.wrap ? "torus" : "mesh");
+  for (std::size_t i = 0; i < c.dims.size(); ++i) {
+    *os << (i ? "x" : "-") << c.dims[i];
+  }
+}
+
 class MeshNdProperty : public ::testing::TestWithParam<NdCase> {};
 
 TEST_P(MeshNdProperty, NeighborSymmetry) {
