@@ -24,7 +24,6 @@
 #include "obs/json.hpp"
 #include "obs/scorecard.hpp"
 #include "obs/stream.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
 #include "routing/oblivious.hpp"
 #include "sim/simulator.hpp"
@@ -83,7 +82,7 @@ struct BenchOptions {
   std::string metrics_out;   // --metrics-out=PATH: counter CSV/JSON export
   std::string manifest_out;  // --manifest-out=PATH (default NAME.manifest.json)
   bool manifest = true;      // --no-manifest suppresses the manifest file
-  std::string telemetry_out; // --telemetry-out=PATH: link/router telemetry
+  std::string telemetry_out; // --telemetry-out=PATH: per-link telemetry
   std::string heatmap_out;   // --heatmap-out=PATH: ASCII (or .pgm) heatmap
   std::string scorecard_out; // --scorecard-out=PATH: predictive scorecard
   std::string stream_out;    // --stream-out=PATH: streaming telemetry NDJSON
@@ -198,10 +197,10 @@ class BenchMain {
   }
 
   /// Run `policy` over `sc` serially with the requested observers attached
-  /// (tracer + counters always; telemetry for --telemetry-out /
-  /// --heatmap-out; stall watchdog for --watchdog) and write the requested
-  /// outputs. No-op (empty result) when no observability output was
-  /// requested.
+  /// (tracer + counters always; the stream for --stream-out /
+  /// --telemetry-out / --heatmap-out; stall watchdog for --watchdog) and
+  /// write the requested outputs. No-op (empty result) when no
+  /// observability output was requested.
   ScenarioResult probe_scenario(const std::string& policy,
                                 ScenarioSpec sc) {
     if (!wants_probe()) return {};
@@ -209,17 +208,14 @@ class BenchMain {
     sc.sdb_out = opts_.sdb_out;  // serial probe: safe to write the export
     obs::Tracer tracer;
     obs::CounterRegistry counters(sc.bin_width);
-    obs::NetTelemetry telemetry(sc.bin_width);
     obs::FlightRecorder recorder(512);
     obs::Scorecard scorecard;
     obs::StreamTelemetry stream;
     sc.sinks.tracer = &tracer;
     sc.sinks.counters = &counters;
-    if (!opts_.telemetry_out.empty() || !opts_.heatmap_out.empty()) {
-      sc.sinks.telemetry = &telemetry;
-    }
     if (!opts_.scorecard_out.empty()) sc.sinks.scorecard = &scorecard;
-    if (!opts_.stream_out.empty()) {
+    if (!opts_.stream_out.empty() || !opts_.telemetry_out.empty() ||
+        !opts_.heatmap_out.empty()) {
       sc.sinks.stream = &stream;
       if (opts_.stream_interval > 0) {
         sc.sinks.stream_interval = opts_.stream_interval;
@@ -234,9 +230,11 @@ class BenchMain {
     ScenarioResult r = run_scenario(policy, sc);
     if (!opts_.trace_out.empty()) tracer.write_file(opts_.trace_out);
     if (!opts_.metrics_out.empty()) counters.write_file(opts_.metrics_out);
-    if (!opts_.telemetry_out.empty()) telemetry.write_file(opts_.telemetry_out);
+    if (!opts_.telemetry_out.empty()) {
+      stream.write_telemetry_file(opts_.telemetry_out);
+    }
     if (!opts_.heatmap_out.empty()) {
-      telemetry.write_heatmap_file(
+      stream.write_heatmap_file(
           opts_.heatmap_out, *make_topology(sc.topology).value_or_throw());
     }
     if (!opts_.watchdog_out.empty() && !dump.empty()) {

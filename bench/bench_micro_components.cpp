@@ -11,7 +11,6 @@
 #include "obs/counters.hpp"
 #include "obs/scorecard.hpp"
 #include "obs/stream.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
 #include "routing/oblivious.hpp"
 #include "sim/simulator.hpp"
@@ -185,43 +184,6 @@ BENCHMARK(BM_SimulatedNetworkHopTraced)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-/// Spatial-telemetry overhead on the same loaded mesh. Arg(0): telemetry
-/// not bound — the transmit/stall hot paths pay one not-taken null-pointer
-/// branch each, and must sit within noise of BM_SimulatedNetworkHop.
-/// Arg(1): telemetry bound — pays the bin-splitting busy-time accounting
-/// per transmit (no allocations in steady state once the bin vectors have
-/// grown; see obs/telemetry).
-void BM_SimulatedNetworkHopTelemetry(benchmark::State& state) {
-  const bool enabled = state.range(0) != 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Simulator sim;
-    Mesh2D mesh(8, 8);
-    NetConfig cfg;
-    DeterministicPolicy policy;
-    Network net(sim, mesh, cfg, policy);
-    obs::NetTelemetry telemetry(1e-3);
-    if (enabled) net.bind_telemetry(&telemetry);
-    UniformPattern pat(64);
-    Rng rng(9);
-    for (int i = 0; i < 2000; ++i) {
-      const auto s = static_cast<NodeId>(rng.next_below(64));
-      const NodeId d = pat.destination(s, rng);
-      if (d != s) net.send_message(s, d, 1024);
-    }
-    state.ResumeTiming();
-    sim.run();
-    state.PauseTiming();
-    state.counters["bins"] = static_cast<double>(telemetry.bins());
-    net.bind_telemetry(nullptr);
-    state.ResumeTiming();
-  }
-}
-BENCHMARK(BM_SimulatedNetworkHopTelemetry)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 /// Streaming-aggregation (scorecard) overhead on the same loaded mesh.
 /// Arg(0): scorecard not bound — every hook site pays one not-taken
 /// null-pointer branch and the packet phase fields are never written; must
@@ -265,7 +227,7 @@ BENCHMARK(BM_SimulatedNetworkHopScorecard)
 /// Bounded-memory streaming-telemetry overhead on the same loaded mesh.
 /// Arg(0): stream not bound — the transmit/stall hot paths pay one
 /// not-taken null-pointer branch each (the same guard shape as the
-/// telemetry/scorecard hooks) and must sit within noise of
+/// scorecard hooks) and must sit within noise of
 /// BM_SimulatedNetworkHop. Arg(1): stream bound and rolled on a sampler
 /// chain, the attach_sinks wiring — pays the window-boundary split plus
 /// the recent-flow note per transmit, and an O(links) window fold per

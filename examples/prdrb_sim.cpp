@@ -2,8 +2,7 @@
 //
 // Run any topology / policy / workload combination without writing code:
 //
-//   ./build/examples/prdrb_sim --topology mesh-8x8 --policy pr-drb \
-//       --pattern hotspot-cross --rate 1000e6 --bursts 5 --seeds 3
+//   ./build/examples/prdrb_sim --topology mesh-8x8 --pattern hotspot-cross
 //   ./build/examples/prdrb_sim --topology tree-64 --policy drb --app pop
 //   ./build/examples/prdrb_sim --help
 #include <chrono>
@@ -19,7 +18,6 @@
 #include "obs/json.hpp"
 #include "obs/scorecard.hpp"
 #include "obs/stream.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
 #include "util/table.hpp"
 
@@ -77,8 +75,9 @@ observability (DESIGN.md "Observability"):
   --trace-out <path>    write a Chrome trace_event JSON (open in Perfetto)
                         of a serial, base-seed run
   --metrics-out <path>  export the counter registry (.csv -> CSV, else JSON)
-  --telemetry-out <path> export link/router spatial telemetry (.csv -> CSV,
-                        else "prdrb-telemetry-v1" JSON)
+  --telemetry-out <path> per-link telemetry: exact busy time, stalls and
+                        packets per link plus its retained windows (.csv ->
+                        CSV, else "prdrb-telemetry-v2" JSON)
   --heatmap-out <path>  per-router heatmap (.pgm -> time x router image,
                         else topology-aware ASCII)
   --scorecard-out <path> predictive-efficacy scorecard: latency attribution,
@@ -110,6 +109,64 @@ std::string str_arg(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
+/// The observability outputs requested on the command line.
+struct Outputs {
+  std::string trace;
+  std::string metrics;
+  std::string telemetry;
+  std::string heatmap;
+  std::string scorecard;
+  std::string stream;
+  double stream_interval = 0;
+  double watchdog = 0;
+  std::string watchdog_out;
+
+  bool any() const {
+    return !trace.empty() || !metrics.empty() || !telemetry.empty() ||
+           !heatmap.empty() || !scorecard.empty() || !stream.empty() ||
+           watchdog > 0;
+  }
+};
+
+/// Run `policy` over `sc` serially with the sinks `out` asks for attached,
+/// then write each requested file.
+ScenarioResult run_observed(const std::string& policy, ScenarioSpec sc,
+                            const Outputs& out) {
+  obs::Tracer tracer;
+  obs::CounterRegistry counters(sc.bin_width);
+  obs::FlightRecorder recorder(512);
+  obs::Scorecard scorecard;
+  obs::StreamTelemetry stream;
+  std::string dump;
+  if (!out.trace.empty()) sc.sinks.tracer = &tracer;
+  if (!out.metrics.empty()) sc.sinks.counters = &counters;
+  if (!out.scorecard.empty()) sc.sinks.scorecard = &scorecard;
+  // The stream is the per-link telemetry behind all three outputs.
+  if (!out.stream.empty() || !out.telemetry.empty() || !out.heatmap.empty()) {
+    sc.sinks.stream = &stream;
+    if (out.stream_interval > 0) sc.sinks.stream_interval = out.stream_interval;
+  }
+  if (out.watchdog > 0) {
+    sc.sinks.recorder = &recorder;
+    sc.sinks.watchdog_window = out.watchdog;
+    sc.sinks.watchdog_dump = &dump;
+  }
+  ScenarioResult r = run_scenario(policy, sc);
+  if (!out.trace.empty()) tracer.write_file(out.trace);
+  if (!out.metrics.empty()) counters.write_file(out.metrics);
+  if (!out.telemetry.empty()) stream.write_telemetry_file(out.telemetry);
+  if (!out.heatmap.empty()) {
+    stream.write_heatmap_file(out.heatmap,
+                              *make_topology(sc.topology).value_or_throw());
+  }
+  if (!out.scorecard.empty()) scorecard.write_file(out.scorecard);
+  if (!out.stream.empty()) stream.write_file(out.stream);
+  if (!out.watchdog_out.empty() && !dump.empty()) {
+    obs::write_text_file(out.watchdog_out, dump);
+  }
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -122,15 +179,7 @@ int main(int argc, char** argv) {
   std::string app;
   TraceScale scale;
   int seeds = 1;
-  std::string trace_out;
-  std::string metrics_out;
-  std::string telemetry_out;
-  std::string heatmap_out;
-  std::string scorecard_out;
-  std::string stream_out;
-  double stream_interval = 0;
-  double watchdog = 0;
-  std::string watchdog_out;
+  Outputs out;
   std::string manifest_out = "prdrb_sim.manifest.json";
   bool write_manifest = true;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -197,24 +246,24 @@ int main(int argc, char** argv) {
       } else if (a == "--sdb-capacity") {
         sc.prdrb.sdb_capacity = static_cast<std::size_t>(nval());
       } else if (a == "--trace-out") {
-        trace_out = sval();
+        out.trace = sval();
       } else if (a == "--metrics-out") {
-        metrics_out = sval();
+        out.metrics = sval();
       } else if (a == "--telemetry-out") {
-        telemetry_out = sval();
+        out.telemetry = sval();
       } else if (a == "--heatmap-out") {
-        heatmap_out = sval();
+        out.heatmap = sval();
       } else if (a == "--scorecard-out") {
-        scorecard_out = sval();
+        out.scorecard = sval();
       } else if (a == "--stream-out") {
-        stream_out = sval();
+        out.stream = sval();
       } else if (a == "--stream-interval") {
-        stream_interval = nval();
+        out.stream_interval = nval();
       } else if (a == "--watchdog") {
-        watchdog = has_inline ? std::stod(inline_val) : 5e-3;
-        if (!(watchdog > 0)) watchdog = 5e-3;
+        out.watchdog = has_inline ? std::stod(inline_val) : 5e-3;
+        if (!(out.watchdog > 0)) out.watchdog = 5e-3;
       } else if (a == "--watchdog-out") {
-        watchdog_out = sval();
+        out.watchdog_out = sval();
       } else if (a == "--manifest-out") {
         manifest_out = sval();
       } else if (a == "--no-manifest") {
@@ -263,41 +312,7 @@ int main(int argc, char** argv) {
       sc.trace().scale = scale;
       // run_scenario on a trace workload is serial: the sinks can ride the
       // measured run itself.
-      obs::Tracer tracer;
-      obs::CounterRegistry counters(sc.bin_width);
-      obs::NetTelemetry telemetry(sc.bin_width);
-      obs::FlightRecorder recorder(512);
-      obs::Scorecard scorecard;
-      obs::StreamTelemetry stream;
-      std::string dump;
-      if (!trace_out.empty()) sc.sinks.tracer = &tracer;
-      if (!metrics_out.empty()) sc.sinks.counters = &counters;
-      if (!telemetry_out.empty() || !heatmap_out.empty()) {
-        sc.sinks.telemetry = &telemetry;
-      }
-      if (!scorecard_out.empty()) sc.sinks.scorecard = &scorecard;
-      if (!stream_out.empty()) {
-        sc.sinks.stream = &stream;
-        if (stream_interval > 0) sc.sinks.stream_interval = stream_interval;
-      }
-      if (watchdog > 0) {
-        sc.sinks.recorder = &recorder;
-        sc.sinks.watchdog_window = watchdog;
-        sc.sinks.watchdog_dump = &dump;
-      }
-      const ScenarioResult r = run_scenario(policy, sc);
-      if (!trace_out.empty()) tracer.write_file(trace_out);
-      if (!metrics_out.empty()) counters.write_file(metrics_out);
-      if (!telemetry_out.empty()) telemetry.write_file(telemetry_out);
-      if (!heatmap_out.empty()) {
-        telemetry.write_heatmap_file(
-            heatmap_out, *make_topology(sc.topology).value_or_throw());
-      }
-      if (!scorecard_out.empty()) scorecard.write_file(scorecard_out);
-      if (!stream_out.empty()) stream.write_file(stream_out);
-      if (!watchdog_out.empty() && !dump.empty()) {
-        obs::write_text_file(watchdog_out, dump);
-      }
+      const ScenarioResult r = run_observed(policy, sc, out);
       manifest.add_config("app", app);
       manifest.add_result(r);
       finish(0);
@@ -324,50 +339,12 @@ int main(int argc, char** argv) {
     // The replicated runs go through the parallel executor, so the
     // instrumented run is a separate serial probe at the base seed — its
     // trace bytes are independent of --jobs.
-    if (!trace_out.empty() || !metrics_out.empty() || !telemetry_out.empty() ||
-        !heatmap_out.empty() || !scorecard_out.empty() ||
-        !stream_out.empty() || watchdog > 0) {
+    if (out.any()) {
       ScenarioSpec probe = sc;
       // The replicated base-seed run already exported the database (only
       // the base seed writes it — workers must not race on the file).
       probe.sdb_out.clear();
-      obs::Tracer tracer;
-      obs::CounterRegistry counters(probe.bin_width);
-      obs::NetTelemetry telemetry(probe.bin_width);
-      obs::FlightRecorder recorder(512);
-      obs::Scorecard scorecard;
-      obs::StreamTelemetry stream;
-      std::string dump;
-      if (!trace_out.empty()) probe.sinks.tracer = &tracer;
-      if (!metrics_out.empty()) probe.sinks.counters = &counters;
-      if (!telemetry_out.empty() || !heatmap_out.empty()) {
-        probe.sinks.telemetry = &telemetry;
-      }
-      if (!scorecard_out.empty()) probe.sinks.scorecard = &scorecard;
-      if (!stream_out.empty()) {
-        probe.sinks.stream = &stream;
-        if (stream_interval > 0) {
-          probe.sinks.stream_interval = stream_interval;
-        }
-      }
-      if (watchdog > 0) {
-        probe.sinks.recorder = &recorder;
-        probe.sinks.watchdog_window = watchdog;
-        probe.sinks.watchdog_dump = &dump;
-      }
-      run_scenario(policy, probe);
-      if (!trace_out.empty()) tracer.write_file(trace_out);
-      if (!metrics_out.empty()) counters.write_file(metrics_out);
-      if (!telemetry_out.empty()) telemetry.write_file(telemetry_out);
-      if (!heatmap_out.empty()) {
-        telemetry.write_heatmap_file(
-            heatmap_out, *make_topology(sc.topology).value_or_throw());
-      }
-      if (!scorecard_out.empty()) scorecard.write_file(scorecard_out);
-      if (!stream_out.empty()) stream.write_file(stream_out);
-      if (!watchdog_out.empty() && !dump.empty()) {
-        obs::write_text_file(watchdog_out, dump);
-      }
+      run_observed(policy, probe, out);
     }
     finish(0);
     const auto lat = replicate_metric(

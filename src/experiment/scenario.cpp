@@ -17,7 +17,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/scorecard.hpp"
 #include "obs/stream.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
 #include "routing/adaptive.hpp"
 #include "routing/oblivious.hpp"
@@ -360,14 +359,13 @@ struct RunProbes {
 
   /// End-of-run teardown: watchdog finalize (catches true deadlock — no
   /// events means the poll chain drained before the window elapsed), dump
-  /// hand-off, telemetry unbind. Must run after Simulator::run() and before
-  /// the network is destroyed.
+  /// hand-off, scorecard and stream finalize. Must run after
+  /// Simulator::run() and before the network is destroyed.
   void finalize(const ObsSinks& sinks, SimTime now) {
     if (watchdog) {
       watchdog->finalize();
       if (sinks.watchdog_dump) *sinks.watchdog_dump = watchdog->dump_json();
     }
-    if (sinks.telemetry) sinks.telemetry->unbind();
     // Close open multipath intervals and unresolved congestion episodes at
     // the final virtual time so exports never carry dangling state.
     if (sinks.scorecard) sinks.scorecard->finalize(now);
@@ -378,9 +376,10 @@ struct RunProbes {
 
 /// Wires the optional observability sinks into a freshly built run: the
 /// tracer onto the observer list and every control-plane hook, the counter
-/// registry onto the network/routing/sim gauges, telemetry/flight-recorder
-/// onto the network and control plane, and one periodic sampler chain that
-/// multiplexes counter sampling, telemetry sampling and the watchdog poll.
+/// registry onto the network/routing/sim gauges, flight recorder, scorecard
+/// and stream onto the network and control plane, and one periodic sampler
+/// chain that multiplexes counter sampling, the stream's window roll and
+/// the watchdog poll.
 RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
                        const ObsSinks& sinks) {
   RunProbes probes;
@@ -396,7 +395,6 @@ RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
     if (b.engine) b.engine->set_recorder(sinks.recorder);
     if (b.monitor) b.monitor->set_recorder(sinks.recorder);
   }
-  if (sinks.telemetry) net.bind_telemetry(sinks.telemetry);
   if (sinks.scorecard) {
     net.bind_scorecard(sinks.scorecard);
     if (b.drb) b.drb->set_scorecard(sinks.scorecard);
@@ -417,8 +415,8 @@ RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
     if (b.engine) b.engine->set_stream(sinks.stream);
   }
 
-  const bool wants_chain = sinks.counters || sinks.telemetry ||
-                           sinks.stream || sinks.watchdog_window > 0;
+  const bool wants_chain =
+      sinks.counters || sinks.stream || sinks.watchdog_window > 0;
   if (!wants_chain) return probes;
 
   if (sinks.counters) {
@@ -472,18 +470,15 @@ RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
         return static_cast<double>(mon->detections());
       });
     }
-    // Out-of-domain timestamp clamps across every series in this run
-    // (registry metrics + spatial telemetry). Registered here — not in the
-    // registry constructor — so a bare registry contains exactly what its
-    // owner created.
+    // Out-of-domain timestamp clamps across every registry series in this
+    // run. Registered here — not in the registry constructor — so a bare
+    // registry contains exactly what its owner created.
     obs::CounterRegistry* regp = &reg;
-    obs::NetTelemetry* tel = sinks.telemetry;
-    reg.gauge("metrics.timeseries.clamped", [regp, tel] {
-      return static_cast<double>(regp->timeseries_clamped() +
-                                 (tel ? tel->clamped() : 0));
+    reg.gauge("metrics.timeseries.clamped", [regp] {
+      return static_cast<double>(regp->timeseries_clamped());
     });
   } else {
-    // Telemetry/watchdog without a caller registry: the sampler chain still
+    // Stream/watchdog without a caller registry: the sampler chain still
     // needs a registry to drive, so own an empty one.
     probes.own_registry = std::make_unique<obs::CounterRegistry>();
   }
@@ -491,7 +486,6 @@ RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
   obs::CounterRegistry& chain_reg =
       sinks.counters ? *sinks.counters : *probes.own_registry;
   probes.sampler = std::make_unique<obs::CounterSampler>(sim, chain_reg);
-  if (sinks.telemetry) probes.sampler->attach_telemetry(sinks.telemetry);
   if (sinks.watchdog_window > 0) {
     probes.watchdog = std::make_unique<obs::StallWatchdog>(
         net, sim, sinks.recorder, sinks.watchdog_window);

@@ -48,11 +48,8 @@ DrbConfig default_drb_config();
 /// the run finishes they are frozen (final value captured, probe dropped),
 /// so the registry stays safe to query and export afterwards.
 ///
-/// Spatial telemetry and post-mortem sinks (same borrowed-pointer rules):
-/// a non-null `telemetry` is bound to the network (link busy/stall series,
-/// per-router queue depth) and pull-sampled on the counter cadence; the run
-/// unbinds it on exit so it stays safe to export afterwards. A non-null
-/// `recorder` ring receives every control-plane event (CFD, metapath,
+/// Post-mortem sinks (same borrowed-pointer rules): a non-null `recorder`
+/// ring receives every control-plane event (CFD, metapath,
 /// SDB, stalls). `watchdog_window > 0` arms a run-local stall watchdog: if
 /// no packet is delivered for that many virtual seconds while work is
 /// pending (or the run ends starved), it dumps ring + router snapshot +
@@ -64,20 +61,20 @@ struct ObsSinks {
   obs::Tracer* tracer = nullptr;
   obs::CounterRegistry* counters = nullptr;
   SimTime sample_interval = 1e-3;
-  obs::NetTelemetry* telemetry = nullptr;
   obs::FlightRecorder* recorder = nullptr;
   /// Predictive-efficacy scorecard (obs/scorecard.hpp): bound to the
   /// network's phase-timer/delivery sites and to the DRB + predictive
   /// control-plane hooks; finalized (open intervals and episodes closed at
   /// the final virtual time) when the run ends.
   obs::Scorecard* scorecard = nullptr;
-  /// Bounded-memory streaming telemetry (obs/stream.hpp): bound to the
-  /// network's transmit/stall sites and to the DRB + predictive open/close
-  /// hooks; its window clock rolls on the sampler cadence (one extra probe
-  /// on the SAME chain: no event-count drift vs a counters/telemetry run)
-  /// and a "prdrb-stream-v1" NDJSON snapshot is emitted roughly every
+  /// Per-link streaming telemetry (obs/stream.hpp): bound to the network's
+  /// transmit/stall sites and to the DRB + predictive open/close hooks; its
+  /// window clock rolls on the sampler cadence (one extra probe on the SAME
+  /// chain: no event-count drift vs a counters-only run) and a
+  /// "prdrb-stream-v1" NDJSON snapshot is emitted roughly every
   /// `stream_interval` of virtual time. Finalized (summary line emitted,
-  /// hooks detached) when the run ends.
+  /// heatmap closed, hooks detached) when the run ends, so the telemetry
+  /// and heatmap exports are safe to write afterwards.
   obs::StreamTelemetry* stream = nullptr;
   SimTime stream_interval = 10e-3;
   SimTime watchdog_window = 0;  // 0 = watchdog disabled

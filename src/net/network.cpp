@@ -8,7 +8,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/scorecard.hpp"
 #include "obs/stream.hpp"
-#include "obs/telemetry.hpp"
 
 namespace prdrb {
 
@@ -121,7 +120,6 @@ void Network::nic_try_inject(NodeId n) {
       nic.waiting = true;
       ++nic.inject_stalls;
       if (counters_) counters_->credit_stalls->increment();
-      if (telemetry_) telemetry_->on_inject_stall(n, sim_.now());
       if (recorder_) {
         recorder_->record(obs::FlightRecorder::EventKind::kInjectStall,
                           sim_.now(), n);
@@ -223,7 +221,6 @@ void Network::try_transmit(RouterId r, int port) {
       out.waiting = true;
       ++out.credit_stalls;
       if (counters_) counters_->credit_stalls->increment();
-      if (telemetry_) telemetry_->on_credit_stall(r, port, sim_.now());
       if (stream_) stream_->on_credit_stall(r, port, sim_.now());
       if (recorder_) {
         recorder_->record(obs::FlightRecorder::EventKind::kCreditStall,
@@ -279,7 +276,6 @@ void Network::try_transmit(RouterId r, int port) {
     }
     p->transmit_time += ser;
   }
-  if (telemetry_) telemetry_->on_transmit(r, port, now, ser);
   if (stream_) stream_->on_transmit(r, port, *p, now, ser);
   const std::int64_t bytes = p->size_bytes;
   sim_.schedule_in(ser, [this, r, port, vn, bytes] {
@@ -455,11 +451,6 @@ void Network::bind_counters(obs::CounterRegistry& reg) {
       return static_cast<double>(sum);
     });
   }
-}
-
-void Network::bind_telemetry(obs::NetTelemetry* t) {
-  telemetry_ = t;
-  if (t) t->bind(*this);
 }
 
 void Network::bind_stream(obs::StreamTelemetry* s) {

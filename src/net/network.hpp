@@ -32,7 +32,6 @@ namespace obs {
 class Counter;
 class CounterRegistry;
 class FlightRecorder;
-class NetTelemetry;
 class Scorecard;
 class StreamTelemetry;
 }  // namespace obs
@@ -51,8 +50,7 @@ class NetworkObserver {
                             SimTime /*now*/) {}
   virtual void on_message_injected(NodeId /*src*/, NodeId /*dst*/,
                                    std::int64_t /*bytes*/, SimTime /*now*/) {}
-  /// Fired when a packet commits to a router-to-router link (once per hop);
-  /// the energy model charges per-hop costs here.
+  /// Fired when a packet commits to a router-to-router link (once per hop).
   virtual void on_packet_forwarded(const Packet&, RouterId /*router*/,
                                    SimTime /*now*/) {}
 };
@@ -101,11 +99,6 @@ class Network {
   /// "Observability") with `reg`. Until called, the hot-path accounting is
   /// a single not-taken branch — the zero-overhead disabled state.
   void bind_counters(obs::CounterRegistry& reg);
-
-  /// Attach spatial telemetry (sizes it for this network's shape). Same
-  /// zero-overhead-when-absent contract as bind_counters; `t` must outlive
-  /// the network's traffic or be detached via bind_telemetry(nullptr).
-  void bind_telemetry(obs::NetTelemetry* t);
 
   /// Attach a control-plane flight recorder to the stall sites (injection
   /// and credit stalls); the routing/predictive modules hook it separately.
@@ -207,7 +200,6 @@ class Network {
   RouterMonitor* monitor_ = nullptr;
   MessageHandler on_message_;
   std::unique_ptr<NetCounters> counters_;
-  obs::NetTelemetry* telemetry_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
   obs::Scorecard* scorecard_ = nullptr;
   obs::StreamTelemetry* stream_ = nullptr;

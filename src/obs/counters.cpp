@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/json.hpp"
-#include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
 
 namespace prdrb::obs {
@@ -177,7 +176,6 @@ void CounterSampler::tick() {
   // so these equality-style comparisons are exact, not epsilon games.
   if (now >= next_sample_) {
     registry_.sample(now);
-    if (telemetry_) telemetry_->sample(now);
     next_sample_ = now + interval_;
   }
   for (Probe& p : probes_) {

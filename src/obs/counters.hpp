@@ -106,8 +106,6 @@ class CounterRegistry {
   std::uint64_t samples_taken_ = 0;
 };
 
-class NetTelemetry;
-
 /// Periodic sampling driven by the simulation clock. start() samples at
 /// t = now and then every `interval` for as long as other events keep the
 /// queue alive; when the simulation drains the chain stops rescheduling, so
@@ -116,8 +114,8 @@ class NetTelemetry;
 /// are never called after the run's state is destroyed.
 ///
 /// Every periodic observer in a run multiplexes onto this ONE event chain:
-/// attached telemetry samples on the registry cadence, and add_probe()
-/// callbacks fire on their own cadence from the same chain. Two independent
+/// add_probe() callbacks (stream window roll, watchdog poll) fire on their
+/// own cadence from the same chain as the registry sample. Two independent
 /// self-rescheduling chains would each see the other's pending event in
 /// !sim.idle() and keep each other alive forever after the simulation
 /// drains; a single chain observes only real work and terminates.
@@ -125,10 +123,6 @@ class CounterSampler {
  public:
   CounterSampler(Simulator& sim, CounterRegistry& registry);
   ~CounterSampler();
-
-  /// Also snapshot `t` (NetTelemetry::sample) on the registry cadence.
-  /// Call before start(); pass nullptr to detach.
-  void attach_telemetry(NetTelemetry* t) { telemetry_ = t; }
 
   /// Register a periodic callback (watchdog poll, ...) multiplexed onto the
   /// sampling chain. Call before start(); interval must be > 0.
@@ -148,7 +142,6 @@ class CounterSampler {
 
   Simulator& sim_;
   CounterRegistry& registry_;
-  NetTelemetry* telemetry_ = nullptr;
   SimTime interval_ = 0;
   SimTime next_sample_ = 0;
   std::vector<Probe> probes_;

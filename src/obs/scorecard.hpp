@@ -25,7 +25,7 @@
 //      false-open rate (warm episodes that still needed gradual opens) and
 //      warm-vs-cold convergence time.
 //
-// Hooks ride the zero-cost unbound-pointer pattern of obs/telemetry.hpp:
+// Hooks ride the zero-cost unbound-pointer pattern of obs/stream.hpp:
 // every site in Network / DrbPolicy / PredictiveEngine sits behind a
 // single-branch `if (scorecard_)` guard, and the per-packet phase fields
 // are only written under that guard — a detached run's event counts,

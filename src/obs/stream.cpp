@@ -1,8 +1,11 @@
 #include "obs/stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
+#include <sstream>
 
+#include "metrics/map_render.hpp"
 #include "net/network.hpp"
 #include "obs/json.hpp"
 
@@ -20,6 +23,33 @@ const char* class_name(StreamTelemetry::TrafficClass cls) {
       return "predictive-ack";
   }
   return "data";
+}
+
+constexpr LinkClass kExportedClasses[] = {
+    LinkClass::kLocal, LinkClass::kGlobal, LinkClass::kTerminal};
+
+/// The "link_class" object shared by snapshots and the telemetry export.
+void write_class_totals(JsonWriter& w, const StreamTelemetry& st) {
+  w.key("link_class").begin_object();
+  for (const LinkClass c : kExportedClasses) {
+    const StreamTelemetry::ClassTotals ct = st.class_totals(c);
+    w.key(link_class_name(c)).begin_object();
+    w.field("links", ct.links);
+    w.field("busy_s", ct.busy_s);
+    w.field("stalls", ct.stalls);
+    w.field("packets", ct.packets);
+    w.end_object();
+  }
+  w.end_object();
+}
+
+/// One window aggregate as a compact [busy_s, stalls, packets] triple.
+void write_agg(JsonWriter& w, const StreamTelemetry::WindowAgg& a) {
+  w.begin_array();
+  w.value(a.busy);
+  w.value(static_cast<std::uint64_t>(a.stalls));
+  w.value(static_cast<std::uint64_t>(a.packets));
+  w.end_array();
 }
 
 }  // namespace
@@ -61,9 +91,11 @@ void StreamTelemetry::bind(const Network& net) {
   }
   level_head_.assign(levels, 0);
   level_count_.assign(levels, 0);
-  // The whole run's NDJSON accumulates here; one large reservation keeps
-  // snapshot emission from reallocating every few lines.
+  // The whole run's NDJSON and heatmap rows accumulate here; one large
+  // reservation each keeps emission from reallocating every few windows.
   out_.reserve(1 << 16);
+  heat_.clear();
+  heat_.reserve(1 << 16);
   bound_ = true;
 }
 
@@ -99,8 +131,8 @@ void StreamTelemetry::on_transmit(RouterId r, int port, const Packet& p,
   ++ct.packets;
   // Split the serialization interval at the current window boundary:
   // per-link transmissions never overlap (the port busy flag serializes
-  // them), so the in-window part plus a carry of the remainder reproduces
-  // NetTelemetry's exact bin split without addressing future windows.
+  // them), so the in-window part plus a carry of the remainder splits the
+  // interval exactly across windows without addressing future ones.
   const SimTime boundary =
       static_cast<double>(windows_rolled_ + 1) * cfg_.window_s;
   const SimTime end = start + ser;
@@ -230,8 +262,21 @@ void StreamTelemetry::cascade() {
   }
 }
 
+void StreamTelemetry::add_heat_row() {
+  for (std::size_t r = 0; r < num_routers(); ++r) {
+    const std::size_t first = link_offset_[r];
+    const std::size_t last = link_offset_[r + 1];
+    double busy = 0;
+    for (std::size_t l = first; l < last; ++l) busy += links_[l].cur.busy;
+    const double capacity = static_cast<double>(last - first) * cfg_.window_s;
+    const double u = first == last ? 0.0 : std::min(1.0, busy / capacity);
+    heat_.push_back(static_cast<std::uint8_t>(std::lround(255.0 * u)));
+  }
+}
+
 void StreamTelemetry::roll(SimTime now) {
   if (!bound_ || finalized_) return;
+  add_heat_row();
   if (level_count_[0] == cfg_.ring_windows) cascade();
   const std::size_t ring = cfg_.ring_windows;
   const std::size_t tail = (level_head_[0] + level_count_[0]) % ring;
@@ -393,18 +438,7 @@ void StreamTelemetry::emit_snapshot(SimTime now, bool summary) {
   w.field("busy_s", total_busy_s_);
   w.field("stalls", total_stalls_);
   w.field("packets", total_packets_);
-  w.key("link_class").begin_object();
-  for (const LinkClass c :
-       {LinkClass::kLocal, LinkClass::kGlobal, LinkClass::kTerminal}) {
-    const ClassTotals& ct = class_totals_[static_cast<std::size_t>(c)];
-    w.key(link_class_name(c)).begin_object();
-    w.field("links", ct.links);
-    w.field("busy_s", ct.busy_s);
-    w.field("stalls", ct.stalls);
-    w.field("packets", ct.packets);
-    w.end_object();
-  }
-  w.end_object();
+  write_class_totals(w, *this);
   w.key("util").begin_object();
   w.field("p50",
           std::min(1.0, util_sketch_.percentile(0.5) / cfg_.window_s));
@@ -446,6 +480,8 @@ void StreamTelemetry::finalize(SimTime now) {
   // The partial current window is NOT rolled (its width would lie); the
   // cumulative totals already include it, so nothing is lost from the
   // summary. Trailing summary line = the parse target for prdrb_report.
+  // The heatmap does show it, as its last row.
+  if (bound_) add_heat_row();
   emit_snapshot(now, /*summary=*/true);
   finalized_ = true;
   bound_ = false;
@@ -455,6 +491,138 @@ void StreamTelemetry::write(std::ostream& os) const { os << out_; }
 
 bool StreamTelemetry::write_file(const std::string& path) const {
   return write_text_file(path, out_);
+}
+
+std::string StreamTelemetry::telemetry_json() const {
+  const std::vector<WindowView> layout = window_layout();
+  JsonWriter w;
+  w.begin_object();
+  w.field("schema", "prdrb-telemetry-v2");
+  w.field("window_s", cfg_.window_s);
+  w.field("windows", windows_rolled_);
+  w.field("ancient_windows", ancient_base_);
+  // [first base window, base windows covered] per retained window, oldest
+  // first; every link's "windows" array follows this order.
+  w.key("layout").begin_array();
+  for (const WindowView& v : layout) {
+    w.begin_array();
+    w.value(v.start);
+    w.value(static_cast<std::uint64_t>(v.span));
+    w.end_array();
+  }
+  w.end_array();
+  write_class_totals(w, *this);
+  w.key("links").begin_array();
+  for (std::size_t r = 0; r < num_routers(); ++r) {
+    for (std::size_t l = link_offset_[r]; l < link_offset_[r + 1]; ++l) {
+      const LinkState& link = links_[l];
+      if (link.busy_total == 0 && link.stalls_total == 0) continue;
+      const int port = static_cast<int>(l - link_offset_[r]);
+      w.begin_object();
+      w.field("router", static_cast<std::int64_t>(r));
+      w.field("port", static_cast<std::int64_t>(port));
+      w.field("class", link_class_name(static_cast<LinkClass>(link_class_[l])));
+      w.field("busy_s", link.busy_total);
+      w.field("stalls", link.stalls_total);
+      w.field("packets", link.packets_total);
+      w.key("ancient");
+      write_agg(w, link.ancient);
+      w.key("windows").begin_array();
+      for (std::size_t v = 0; v < layout.size(); ++v) {
+        write_agg(w, window_at(static_cast<RouterId>(r), port, v));
+      }
+      w.end_array();
+      w.end_object();
+    }
+  }
+  w.end_array();
+  w.end_object();
+  return w.str() + '\n';
+}
+
+std::string StreamTelemetry::telemetry_csv() const {
+  std::ostringstream os;
+  os << "kind,router,port,class,start_s,span_s,busy_s,stalls,packets\n";
+  // `head` = "kind,router,port,class"; `span` = "start_s,span_s", empty
+  // for run totals.
+  const auto row = [&os](const std::string& head, const std::string& span,
+                         double busy, std::uint64_t stalls,
+                         std::uint64_t packets) {
+    os << head << ',' << span << ',' << json_number(busy) << ',' << stalls
+       << ',' << packets << '\n';
+  };
+  const auto span_s = [this](std::uint64_t first, std::uint64_t windows) {
+    return json_number(static_cast<double>(first) * cfg_.window_s) + ',' +
+           json_number(static_cast<double>(windows) * cfg_.window_s);
+  };
+  const std::vector<WindowView> layout = window_layout();
+  for (std::size_t r = 0; r < num_routers(); ++r) {
+    for (std::size_t l = link_offset_[r]; l < link_offset_[r + 1]; ++l) {
+      const LinkState& link = links_[l];
+      if (link.busy_total == 0 && link.stalls_total == 0) continue;
+      const int port = static_cast<int>(l - link_offset_[r]);
+      const std::string where =
+          std::to_string(r) + ',' + std::to_string(port) + ',' +
+          link_class_name(static_cast<LinkClass>(link_class_[l]));
+      row("link," + where, ",", link.busy_total, link.stalls_total,
+          link.packets_total);
+      row("ancient," + where, span_s(0, ancient_base_), link.ancient.busy,
+          link.ancient.stalls, link.ancient.packets);
+      for (std::size_t v = 0; v < layout.size(); ++v) {
+        const WindowAgg a = window_at(static_cast<RouterId>(r), port, v);
+        row("window," + where, span_s(layout[v].start, layout[v].span),
+            a.busy, a.stalls, a.packets);
+      }
+    }
+  }
+  for (const LinkClass c : kExportedClasses) {
+    const ClassTotals ct = class_totals(c);
+    row(std::string("class,,,") + link_class_name(c), ",", ct.busy_s,
+        ct.stalls, ct.packets);
+  }
+  return os.str();
+}
+
+bool StreamTelemetry::write_telemetry_file(const std::string& path) const {
+  return write_text_file(
+      path, path.ends_with(".csv") ? telemetry_csv() : telemetry_json());
+}
+
+std::string StreamTelemetry::heatmap_ascii(const Topology& topo) const {
+  std::vector<double> per_router(num_routers(), 0.0);
+  for (std::size_t r = 0; r < per_router.size(); ++r) {
+    for (std::size_t l = link_offset_[r]; l < link_offset_[r + 1]; ++l) {
+      per_router[r] += links_[l].busy_total;
+    }
+  }
+  std::ostringstream os;
+  os << "link-busy heatmap: per-router total link-busy time\n";
+  render_map(os, topo, per_router);
+  return os.str();
+}
+
+std::string StreamTelemetry::heatmap_pgm() const {
+  const std::size_t routers = num_routers();
+  const std::size_t cols = std::max<std::size_t>(routers, 1);
+  const std::size_t rows =
+      std::max<std::size_t>(routers ? heat_.size() / routers : 0, 1);
+  std::ostringstream os;
+  os << "P2\n# prdrb link-utilization heatmap: row=time bin, col=router\n"
+     << cols << ' ' << rows << "\n255\n";
+  for (std::size_t row = 0; row < rows; ++row) {
+    for (std::size_t r = 0; r < cols; ++r) {
+      const std::size_t i = row * routers + r;
+      os << (r < routers && i < heat_.size() ? static_cast<int>(heat_[i]) : 0)
+         << (r + 1 == cols ? '\n' : ' ');
+    }
+  }
+  return os.str();
+}
+
+bool StreamTelemetry::write_heatmap_file(const std::string& path,
+                                         const Topology& topo) const {
+  return write_text_file(
+      path, path.ends_with(".pgm") ? heatmap_pgm() : heatmap_ascii(topo));
 }
 
 }  // namespace prdrb::obs

@@ -1,9 +1,10 @@
-// Streaming telemetry: bounded-memory observability for long-horizon runs.
+// Streaming telemetry: the one per-link telemetry sink, with bounded memory
+// for long-horizon runs.
 //
-// NetTelemetry (obs/telemetry) keeps full-resolution per-link history —
-// O(links × sim-time) memory, which the ROADMAP names as the blocker for
-// radix-36 fat-tree runs with ~100k links. StreamTelemetry replaces the
-// unbounded series with windowed aggregation over a fixed budget:
+// Every router output port (= link) gets exact cumulative busy seconds,
+// credit stalls and transmit counts, plus windowed history over a fixed
+// budget — never O(links × sim-time), which is what rules out keeping
+// full-resolution series on radix-36 fat-tree runs with ~100k links:
 //
 //   * per link, the finest `ring_windows` windows (width `window_s`) are
 //     kept exactly; when the ring overflows, the two OLDEST windows merge
@@ -19,6 +20,15 @@
 //     one object per line) on the run's single CounterSampler chain, so
 //     traces, counters and event counts are untouched and the stream is
 //     byte-identical across --jobs values.
+//   * every roll also sums each router's busy time in the window it closes
+//     into one row of heatmap pixels (finalize adds the window still open),
+//     so --heatmap-out renders a time x router PGM without retaining
+//     per-link history.
+//
+// Exports (--telemetry-out, --heatmap-out): "prdrb-telemetry-v2" JSON or
+// CSV with each link's exact totals, its retained windows and its ancient
+// fold; an ASCII heatmap of per-router total busy time through the
+// metrics/map_render topology renderers; and the PGM above.
 //
 // On top of the windows sits the congestion-onset detector + prediction
 // LEAD-TIME analyzer — the paper's central claim, made measurable: PR-DRB
@@ -38,11 +48,12 @@
 // losing a positive median ("Prediction lead time" section).
 //
 // Zero-cost when unbound (same single-branch `if (stream_)` guard as the
-// scorecard/telemetry hooks) and allocation-free in steady state once the
-// windows are sized at bind() — the only exceptions are std::map flow
-// nodes (bounded by distinct (src,dst) pairs, the scorecard contract) and
-// the NDJSON output buffer, which is the emitted artifact rather than
-// telemetry state and is excluded from memory_bytes().
+// scorecard hooks) and allocation-free in steady state once the windows
+// are sized at bind() — the only exceptions are std::map flow nodes
+// (bounded by distinct (src,dst) pairs, the scorecard contract) and the
+// NDJSON and heatmap-row output buffers, which are emitted artifacts rather
+// than telemetry state: both get one 64 KiB reservation at bind(), grow
+// amortized past it, and are excluded from memory_bytes().
 #pragma once
 
 #include <array>
@@ -66,7 +77,7 @@ namespace prdrb::obs {
 struct StreamConfig {
   /// Width of the finest aggregation window. attach_sinks defaults this to
   /// the sampler cadence so window rolls piggyback on existing chain
-  /// events (no event-count drift vs a counters/telemetry-only run).
+  /// events (no event-count drift vs a counters-only run).
   SimTime window_s = 1e-3;
   /// Fine windows kept exactly per level before the 2:1 rollup kicks in.
   std::size_t ring_windows = 8;
@@ -133,6 +144,9 @@ class StreamTelemetry {
 
   const StreamConfig& config() const { return cfg_; }
   std::size_t num_links() const { return links_.size(); }
+  std::size_t num_routers() const {
+    return link_offset_.empty() ? 0 : link_offset_.size() - 1;
+  }
 
   /// Re-pin the window clock before bind(): attach_sinks aligns the window
   /// width with the sampler cadence (so rolls piggyback on existing chain
@@ -219,6 +233,26 @@ class StreamTelemetry {
   void write(std::ostream& os) const;
   bool write_file(const std::string& path) const;
 
+  /// "prdrb-telemetry-v2" JSON: the window layout, the per-class totals
+  /// and, for every link that carried traffic or stalled, its exact
+  /// busy_s/stalls/packets, its retained windows and its ancient fold.
+  std::string telemetry_json() const;
+  /// The same per-link and per-class data as CSV rows.
+  std::string telemetry_csv() const;
+  /// Write to `path`: ".csv" -> CSV, anything else -> JSON.
+  bool write_telemetry_file(const std::string& path) const;
+
+  /// Per-router total link-busy time through the topology-aware map
+  /// renderer. `topo` is passed in because the stream outlives the run's
+  /// network.
+  std::string heatmap_ascii(const Topology& topo) const;
+  /// PGM (P2): one row per window (the rolled ones, then the one open at
+  /// finalize), one column per router, pixel = round(255 * the router's
+  /// mean link utilization in that window).
+  std::string heatmap_pgm() const;
+  /// Write to `path`: ".pgm" -> PGM, anything else -> ASCII via `topo`.
+  bool write_heatmap_file(const std::string& path, const Topology& topo) const;
+
  private:
   struct RecentFlow {
     std::uint64_t key = 0;  // (src<<32)|dst of the data flow; 0 = empty
@@ -278,6 +312,8 @@ class StreamTelemetry {
   /// by every link, so the per-level loops move all links at once.
   void cascade();
   void detect_onset(LinkState& link, SimTime now);
+  /// Append one heatmap row: each router's summed `cur` busy time.
+  void add_heat_row();
   void emit_snapshot(SimTime now, bool summary);
 
   StreamConfig cfg_;
@@ -316,6 +352,8 @@ class StreamTelemetry {
   bool finalized_ = false;
 
   std::string out_;  // NDJSON lines (output artifact, not telemetry state)
+  /// Heatmap pixels, num_routers() per window (output artifact, not state).
+  std::vector<std::uint8_t> heat_;
 };
 
 }  // namespace prdrb::obs

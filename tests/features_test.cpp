@@ -1,6 +1,6 @@
 // Tests for the auxiliary library features: the torus topology, the
 // extended synthetic-pattern suite, trace-file serialization, the latency
-// histogram, the energy model and the experiment harness.
+// histogram and the experiment harness.
 #include <algorithm>
 #include <limits>
 #include <set>
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "experiment/scenario.hpp"
-#include "metrics/energy.hpp"
 #include "metrics/histogram.hpp"
 #include "metrics/map_render.hpp"
 #include "routing/oblivious.hpp"
@@ -247,38 +246,6 @@ TEST(Histogram, CollectorExposesPercentiles) {
   EXPECT_EQ(h.metrics->latency_histogram().count(), 50u);
   EXPECT_GT(h.metrics->latency_histogram().p99(),
             h.metrics->latency_histogram().p50() * 0.99);
-}
-
-// ---------------------------------------------------------------------------
-// EnergyModel
-
-TEST(Energy, ChargesPerHopAndSeparatesControl) {
-  auto* drb = new DrbPolicy;
-  auto h = Harness::make<Mesh2D>(NetConfig{}, drb, 4, 4);
-  EnergyModel energy;
-  h.net->add_observer(&energy);
-  h.net->send_message(0, 3, 1024);  // 3 router-to-router hops? (2 forwards)
-  h.sim.run();
-  EXPECT_GT(energy.data_joules(), 0.0);
-  EXPECT_GT(energy.control_joules(), 0.0);  // DRB's ACK came back
-  EXPECT_GT(energy.control_share(), 0.0);
-  EXPECT_LT(energy.control_share(), 0.5);  // ACKs are small
-  EXPECT_GT(energy.data_hops(), 0u);
-  energy.reset();
-  EXPECT_DOUBLE_EQ(energy.total_joules(), 0.0);
-}
-
-TEST(Energy, LongerPathsCostMore) {
-  auto run = [](NodeId dst) {
-    auto h =
-        Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy, 8, 1);
-    EnergyModel energy;
-    h.net->add_observer(&energy);
-    h.net->send_message(0, dst, 1024);
-    h.sim.run();
-    return energy.total_joules();
-  };
-  EXPECT_GT(run(7), run(1));
 }
 
 // ---------------------------------------------------------------------------

@@ -383,7 +383,9 @@ TEST(SolutionDbIndex, StricterThresholdStaysExact) {
       SavedSolution* a = indexed.lookup(0, 7, probe, ms);
       SavedSolution* b = linear.lookup(0, 7, probe, ms);
       ASSERT_EQ(a != nullptr, b != nullptr) << "ms " << ms << " i " << i;
-      if (a) EXPECT_EQ(a->signature, b->signature);
+      if (a) {
+        EXPECT_EQ(a->signature, b->signature);
+      }
     }
   }
 }

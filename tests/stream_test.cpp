@@ -9,9 +9,9 @@
 //     flow's opens, merge() equals a single-pass instance
 //   - scenario integration: attached runs leave ScenarioResults untouched
 //     (zero event-count drift), NDJSON is byte-identical across repeats
-//     and every line parses, per-link totals equal
-//     NetTelemetry's, and the hotspot fixture yields a positive median
-//     prediction lead
+//     and every line parses, per-link totals and the telemetry export
+//     equal the network's own per-port counters, and the hotspot fixture
+//     yields a positive median prediction lead
 //   - bounded memory: memory_bytes() is flat over sim time while the
 //     full-resolution series grows; hooks + roll are allocation-free in
 //     steady state (operator-new interposer)
@@ -24,16 +24,15 @@
 #include "experiment/scenario.hpp"
 #include "metrics/time_series.hpp"
 #include "net/packet.hpp"
+#include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "obs/stream.hpp"
-#include "obs/telemetry.hpp"
 #include "routing/oblivious.hpp"
 #include "test_util.hpp"
 
 namespace prdrb {
 namespace {
 
-using obs::NetTelemetry;
 using obs::StreamConfig;
 using obs::StreamTelemetry;
 using Class = StreamTelemetry::TrafficClass;
@@ -111,7 +110,7 @@ TEST(StreamRollup, RollupMatchesFullResolutionTimeSeries) {
   cfg.rollup_levels = 2;
   StreamTelemetry st(cfg);
   st.bind(*h.net);
-  TimeSeries ts(1e-3);  // the unbounded reference NetTelemetry would keep
+  TimeSeries ts(1e-3);  // the unbounded full-resolution reference
 
   // 10 windows of varying load on link (0,0), every transmission inside
   // its window, mirrored into the full-resolution series.
@@ -388,18 +387,18 @@ ScenarioSpec hotspot_spec() {
 }
 
 TEST(StreamScenario, AttachedRunLeavesResultsUntouched) {
-  // Baseline: the sampler chain is already active (full-resolution
-  // telemetry at the stream's cadence). Adding the stream probe must not
+  // Baseline: the sampler chain is already active (a counter registry
+  // sampled at the stream's cadence). Adding the stream probe must not
   // move a single event — rolls ride the existing chain ticks.
   ScenarioSpec base = contended_spec();
-  NetTelemetry tel_base(base.bin_width);
-  base.sinks.telemetry = &tel_base;
+  obs::CounterRegistry reg_base(base.bin_width);
+  base.sinks.counters = &reg_base;
   const ScenarioResult plain = run_scenario("pr-drb", base);
 
   ScenarioSpec spec = contended_spec();
-  NetTelemetry tel(spec.bin_width);
+  obs::CounterRegistry reg(spec.bin_width);
   StreamTelemetry st;
-  spec.sinks.telemetry = &tel;
+  spec.sinks.counters = &reg;
   spec.sinks.stream = &st;
   const ScenarioResult observed = run_scenario("pr-drb", spec);
   // The headline fields are compared one by one so a drift names the
@@ -458,36 +457,70 @@ TEST(StreamScenario, NdjsonByteIdenticalAcrossRepeatsAndBackends) {
 }
 
 TEST(StreamScenario, LinkTotalsEqualFullResolutionTelemetry) {
-  ScenarioSpec spec = contended_spec();
-  spec.bin_width = 1e-3;  // == the sampler cadence the stream windows ride
-  NetTelemetry tel(spec.bin_width);
-  StreamTelemetry st;
-  spec.sinks.telemetry = &tel;
-  spec.sinks.stream = &st;
-  run_scenario("pr-drb", spec);
+  // The full-resolution reference is the network's own per-port accounting
+  // (OutputPort::busy_time, credit_stalls, packets_sent). Small buffers and
+  // an incast make ports stall; the stream rolls on a sampler chain the
+  // way attach_sinks wires it.
+  NetConfig cfg;
+  cfg.buffer_bytes = 8 * 1024;
+  auto h = Harness::make<Mesh2D>(cfg, new DeterministicPolicy, 4, 4);
+  StreamConfig scfg;
+  scfg.ring_windows = 2;
+  scfg.rollup_levels = 1;  // a short run still folds into `ancient`
+  StreamTelemetry st(scfg);
+  h.net->bind_stream(&st);
+  obs::CounterRegistry reg;
+  {
+    obs::CounterSampler sampler(h.sim, reg);
+    sampler.add_probe(20e-6, [&st](SimTime now) { st.roll(now); });
+    sampler.start(20e-6);
+    for (int i = 0; i < 600; ++i) {
+      const auto src = static_cast<NodeId>(1 + i % 15);
+      h.net->send_message(src, 0, 2048);
+    }
+    h.sim.run();
+  }
+  st.finalize(h.sim.now());
 
-  // Both sinks fold the same hook calls in the same order, so per-link
-  // busy-seconds and stall counts are bit-identical — the stream's
-  // bounded windows lose resolution, never accounting.
-  auto shape = Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy,
-                                     4, 4);
-  std::size_t links = 0;
-  double busy = 0;
+  // Both fold the same transmit/stall sites in the same order, so the
+  // totals are bit-identical — the stream's bounded windows lose
+  // resolution, never accounting.
+  const auto doc = obs::json_parse(st.telemetry_json());
+  ASSERT_TRUE(doc.has_value());
+  const auto& exported = doc->find("links")->items();
+  std::size_t next = 0;
+  std::uint64_t stalls = 0;
+  std::uint64_t folded = 0;
   for (RouterId r = 0; r < 16; ++r) {
-    const auto ports = shape.net->router(r).ports.size();
-    for (std::size_t p = 0; p < ports; ++p) {
+    const auto& ports = h.net->router(r).ports;
+    for (std::size_t p = 0; p < ports.size(); ++p) {
       const int port = static_cast<int>(p);
-      EXPECT_DOUBLE_EQ(st.link_busy_seconds(r, port),
-                       tel.link_busy_seconds(r, port))
+      const OutputPort& out = ports[p];
+      EXPECT_EQ(st.link_busy_seconds(r, port), out.busy_time)
           << "router " << r << " port " << port;
-      EXPECT_EQ(st.link_stalls(r, port), tel.link_stalls(r, port))
+      EXPECT_EQ(st.link_stalls(r, port), out.credit_stalls)
           << "router " << r << " port " << port;
-      busy += st.link_busy_seconds(r, port);
-      ++links;
+      EXPECT_EQ(st.link_packets(r, port), out.packets_sent)
+          << "router " << r << " port " << port;
+      stalls += out.credit_stalls;
+      folded += st.ancient(r, port).packets;
+      if (out.busy_time == 0 && out.credit_stalls == 0) continue;
+      // The export lists exactly the active links, in router/port order,
+      // with the same totals.
+      ASSERT_LT(next, exported.size());
+      const obs::JsonValue& link = exported[next++];
+      EXPECT_EQ(link.number_at("router"), r);
+      EXPECT_EQ(link.number_at("port"), port);
+      EXPECT_EQ(link.number_at("busy_s"), out.busy_time);
+      EXPECT_EQ(link.number_at("stalls"),
+                static_cast<double>(out.credit_stalls));
+      EXPECT_EQ(link.number_at("packets"),
+                static_cast<double>(out.packets_sent));
     }
   }
-  EXPECT_EQ(st.num_links(), links) << "shape harness mirrors the run";
-  EXPECT_GT(busy, 0.0) << "the contended spec must move traffic";
+  EXPECT_EQ(next, exported.size());
+  EXPECT_GT(stalls, 0u) << "the incast must make ports stall";
+  EXPECT_GT(folded, 0u) << "the run must outlast the retained windows";
 }
 
 TEST(StreamScenario, HotspotRunYieldsPositiveMedianLead) {
@@ -512,13 +545,12 @@ TEST(StreamMemory, StateStaysFlatWhileFullResolutionGrows) {
   auto h = small_harness();
   StreamTelemetry st;
   st.bind(*h.net);
-  NetTelemetry tel(1e-3);
-  tel.bind(*h.net);
+  TimeSeries ts(1e-3);  // the unbounded full-resolution reference
 
   const auto drive_to = [&](int windows, int from) {
     for (int w = from; w < windows; ++w) {
       st.on_transmit(0, 0, data_packet(0, 1), w * 1e-3, 0.4e-3);
-      tel.on_transmit(0, 0, w * 1e-3, 0.4e-3);
+      ts.add(w * 1e-3, 0.4e-3);
       st.roll((w + 1) * 1e-3);
     }
   };
@@ -530,8 +562,8 @@ TEST(StreamMemory, StateStaysFlatWhileFullResolutionGrows) {
   // byte-for-byte flat over 8x the horizon; the full-resolution series
   // keeps growing a bin per window.
   EXPECT_EQ(at_400, at_50);
-  EXPECT_GE(tel.link_busy_seconds(0, 0), 400 * 0.4e-3 - 1e-12);
-  EXPECT_GE(tel.bins(), 400u);
+  EXPECT_GE(st.link_busy_seconds(0, 0), 400 * 0.4e-3 - 1e-12);
+  EXPECT_GE(ts.bins(), 400u);
 }
 
 TEST(Allocations, StreamHooksSteadyStateIsAllocationFree) {

@@ -1,8 +1,10 @@
-// Spatial telemetry + flight recorder + stall watchdog tests
+// Per-link telemetry exports + flight recorder + stall watchdog tests
 // (DESIGN.md "Observability"):
-//   - obs/telemetry: bin-splitting busy-time accounting, out-of-domain
-//     clamping, deterministic JSON/CSV/heatmap exports, scenario
-//     integration on the shared sampler chain
+//   - obs/stream as the telemetry sink behind --telemetry-out and
+//     --heatmap-out: heatmap rows split busy time at window boundaries,
+//     hostile timestamps cannot grow its state, deterministic
+//     prdrb-telemetry-v2 JSON/CSV and PGM/ASCII heatmap exports, router
+//     queue depth on the counter registry's cadence
 //   - obs/flight_recorder: ring semantics, control-plane capture,
 //     allocation-free recording
 //   - StallWatchdog: fires exactly once on a starved run (with a
@@ -10,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -19,9 +22,11 @@
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "net/mesh2d.hpp"
+#include "net/packet.hpp"
+#include "obs/counters.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/stream.hpp"
 #include "routing/oblivious.hpp"
 #include "test_util.hpp"
 
@@ -29,69 +34,110 @@ namespace prdrb {
 namespace {
 
 using obs::FlightRecorder;
-using obs::NetTelemetry;
 using obs::StallWatchdog;
+using obs::StreamConfig;
+using obs::StreamTelemetry;
 using test::Harness;
 
-// --- NetTelemetry unit behaviour ---
+Packet data_packet(NodeId src, NodeId dst) {
+  Packet p;
+  p.type = PacketType::kData;
+  p.source = src;
+  p.destination = dst;
+  p.size_bytes = 1024;
+  return p;
+}
+
+/// Pixel rows of a P2 image, after its magic, comment, size and maxval.
+std::vector<std::vector<int>> pgm_rows(const std::string& pgm, int& cols,
+                                       int& rows) {
+  std::istringstream in(pgm);
+  std::string magic, comment;
+  std::getline(in, magic);
+  std::getline(in, comment);
+  int maxval = 0;
+  in >> cols >> rows >> maxval;
+  std::vector<std::vector<int>> px(static_cast<std::size_t>(rows),
+                                   std::vector<int>(cols));
+  for (auto& row : px) {
+    for (int& v : row) in >> v;
+  }
+  return px;
+}
+
+// --- heatmap rows and hostile input ---
 
 TEST(Telemetry, TransmitBusyTimeIsSplitAcrossBins) {
   auto h = Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy, 2, 2);
-  NetTelemetry tel(/*bin_width=*/1.0);
-  tel.bind(*h.net);
-  ASSERT_TRUE(tel.bound());
-  EXPECT_EQ(tel.num_routers(), 4u);
-  ASSERT_GT(tel.num_links(), 0u);
+  StreamConfig cfg;
+  cfg.window_s = 1.0;
+  StreamTelemetry st(cfg);
+  st.bind(*h.net);
+  ASSERT_TRUE(st.bound());
+  EXPECT_EQ(st.num_routers(), 4u);
+  ASSERT_GT(st.num_links(), 0u);
 
-  // 1.0 s of serialization starting mid-bin: half lands in bin 0, half in
-  // bin 1; totals are exact.
-  tel.on_transmit(0, 0, /*start=*/0.5, /*ser=*/1.0);
-  EXPECT_DOUBLE_EQ(tel.link_busy_seconds(0, 0), 1.0);
-  EXPECT_EQ(tel.bins(), 2u);
-  // Utilization of router 0 in bin 0: 0.5 busy seconds over `ports` 1 s
-  // links — positive, below 1.
-  const double u = tel.router_utilization(0, 0);
-  EXPECT_GT(u, 0.0);
-  EXPECT_LT(u, 1.0);
-  EXPECT_EQ(tel.clamped(), 0u);
+  // 1.0 s of serialization starting mid-window: half lands in the window
+  // the roll closes, half in the window still open at finalize; totals are
+  // exact.
+  st.on_transmit(0, 0, data_packet(0, 1), /*start=*/0.5, /*ser=*/1.0);
+  EXPECT_DOUBLE_EQ(st.link_busy_seconds(0, 0), 1.0);
+  st.roll(1.0);
+  st.on_credit_stall(0, 0, 1.5);
+  EXPECT_EQ(st.link_stalls(0, 0), 1u);
+  st.finalize(1.5);
+  EXPECT_FALSE(st.bound());
 
-  tel.on_credit_stall(0, 0, 1.5);
-  EXPECT_EQ(tel.link_stalls(0, 0), 1u);
-  tel.on_inject_stall(2, 0.25);
-  EXPECT_EQ(tel.inject_stalls(2), 1u);
-  tel.unbind();
-  EXPECT_FALSE(tel.bound());
+  // One heatmap row per window; router 0's pixel is 0.5 busy seconds over
+  // its `ports` 1 s links, the other routers stay dark.
+  int cols = 0, rows = 0;
+  const auto px = pgm_rows(st.heatmap_pgm(), cols, rows);
+  ASSERT_EQ(cols, 4);
+  ASSERT_EQ(rows, 2);
+  const double ports = static_cast<double>(h.net->router(0).ports.size());
+  const int expect = static_cast<int>(std::lround(255.0 * 0.5 / ports));
+  EXPECT_GT(expect, 0);
+  for (int row = 0; row < rows; ++row) {
+    EXPECT_EQ(px[row][0], expect) << "row " << row;
+    for (int r = 1; r < cols; ++r) EXPECT_EQ(px[row][r], 0);
+  }
 }
 
 TEST(Telemetry, OutOfDomainTimestampsAreClampedNotTrusted) {
+  // The stream addresses windows by its own roll count, never by a
+  // timestamp: negative, NaN and far-future times can neither resize its
+  // state nor lose busy time.
   auto h = Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy, 2, 2);
-  NetTelemetry tel(1.0);
-  tel.bind(*h.net);
+  StreamTelemetry st;
+  st.bind(*h.net);
+  const std::size_t bytes = st.memory_bytes();
 
-  tel.on_transmit(0, 0, -5.0, 0.5);  // negative start -> bin 0
-  EXPECT_GE(tel.clamped(), 1u);
-  const auto before = tel.clamped();
-  tel.on_credit_stall(0, 0, std::numeric_limits<double>::quiet_NaN());
-  EXPECT_GT(tel.clamped(), before);
-  // A huge start saturates into the overflow bin instead of resizing the
-  // series to 2^52 bins.
-  tel.on_transmit(0, 1, 1e18, 1.0);
-  EXPECT_LE(tel.bins(), TimeSeries::kMaxBins);
-  // Totals still account every second of busy time.
-  EXPECT_DOUBLE_EQ(tel.link_busy_seconds(0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(tel.link_busy_seconds(0, 1), 1.0);
+  st.on_transmit(0, 0, data_packet(0, 1), -5.0, 0.5e-3);
+  st.on_credit_stall(0, 0, std::numeric_limits<double>::quiet_NaN());
+  st.on_transmit(0, 1, data_packet(0, 1), 1e18, 1e-3);
+  st.roll(1e-3);
+  st.roll(2e-3);
+  EXPECT_EQ(st.memory_bytes(), bytes);
+  EXPECT_DOUBLE_EQ(st.link_busy_seconds(0, 0), 0.5e-3);
+  EXPECT_DOUBLE_EQ(st.link_busy_seconds(0, 1), 1e-3);
+  EXPECT_EQ(st.link_stalls(0, 0), 1u);
+  // The far-future interval is carried into the next window, not into a
+  // window 10^21 slots ahead.
+  EXPECT_NEAR(st.window_at(0, 1, 1).busy, 1e-3, 1e-15);
 }
 
 TEST(Telemetry, SamplingRecordsRouterQueueDepth) {
+  // Per-router queue depth is the registry gauge net.router.<r>.queue_bytes
+  // (exported by --metrics-out), sampled on the registry cadence.
   auto h = Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy, 2, 2);
-  NetTelemetry tel(1e-3);
-  tel.bind(*h.net);
-  tel.sample(0.5e-3);
-  EXPECT_EQ(tel.samples_taken(), 1u);
-  const TimeSeries* s = tel.router_queue_series(0);
+  obs::CounterRegistry reg(1e-3);
+  h.net->bind_counters(reg);
+  reg.sample(0.5e-3);
+  const TimeSeries* s = reg.series("net.router.0.queue_bytes");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->bin_count(0), 1u);  // idle network: a zero sample, recorded
-  EXPECT_EQ(tel.router_queue_series(99), nullptr);
+  EXPECT_DOUBLE_EQ(s->bin_mean(0), 0.0);
+  EXPECT_EQ(reg.series("net.router.99.queue_bytes"), nullptr);
 }
 
 // --- exports ---
@@ -112,75 +158,90 @@ ScenarioSpec hotspot_scenario() {
 
 TEST(Telemetry, ScenarioExportsAreValidAndByteIdenticalAcrossRuns) {
   const auto probe = [] {
-    ScenarioSpec sc =hotspot_scenario();
-    NetTelemetry tel(sc.bin_width);
-    sc.sinks.telemetry = &tel;
+    ScenarioSpec sc = hotspot_scenario();
+    StreamTelemetry st;
+    sc.sinks.stream = &st;
     run_synthetic("pr-drb", sc);
-    EXPECT_FALSE(tel.bound()) << "run must unbind the telemetry on exit";
-    std::ostringstream csv, pgm, ascii;
-    tel.write_csv(csv);
-    tel.write_heatmap_pgm(pgm);
-    tel.write_heatmap_ascii(ascii,
-                            *make_topology("mesh-8x8").value_or_throw());
-    return std::array<std::string, 4>{tel.to_json(), csv.str(), pgm.str(),
-                                      ascii.str()};
+    EXPECT_FALSE(st.bound()) << "run must finalize the stream on exit";
+    return std::array<std::string, 4>{
+        st.telemetry_json(), st.telemetry_csv(), st.heatmap_pgm(),
+        st.heatmap_ascii(*make_topology("mesh-8x8").value_or_throw())};
   };
   const auto a = probe();
   const auto b = probe();
   EXPECT_EQ(a, b);  // byte-identical across identical seeded runs
 
-  EXPECT_TRUE(obs::json_valid(a[0])) << a[0].substr(0, 400);
-  EXPECT_NE(a[0].find("prdrb-telemetry-v1"), std::string::npos);
-  EXPECT_NE(a[0].find("\"links\""), std::string::npos);
-  EXPECT_NE(a[0].find("\"routers\""), std::string::npos);
+  const auto doc = obs::json_parse(a[0]);
+  ASSERT_TRUE(doc.has_value()) << a[0].substr(0, 400);
+  EXPECT_EQ(doc->string_at("schema"), "prdrb-telemetry-v2");
+  EXPECT_EQ(doc->number_at("link_class.local.links"), 224.0);
+  const obs::JsonValue* layout = doc->find("layout");
+  const obs::JsonValue* links = doc->find("links");
+  ASSERT_TRUE(layout && layout->is_array() && !layout->items().empty());
+  ASSERT_TRUE(links && links->is_array() && !links->items().empty());
+  for (const obs::JsonValue& link : links->items()) {
+    const obs::JsonValue* windows = link.find("windows");
+    ASSERT_TRUE(windows && windows->is_array());
+    EXPECT_EQ(windows->items().size(), layout->items().size())
+        << "every link's windows follow the shared layout";
+    EXPECT_GT(link.number_at("busy_s") + link.number_at("stalls"), 0.0);
+  }
 
-  EXPECT_NE(a[1].find("kind,id,port,bin_time_s,value"), std::string::npos);
-  EXPECT_NE(a[1].find("link_util,"), std::string::npos);
-  EXPECT_NE(a[1].find("router_queue_bytes,"), std::string::npos);
+  EXPECT_EQ(a[1].rfind(
+                "kind,router,port,class,start_s,span_s,busy_s,stalls,"
+                "packets\n",
+                0),
+            0u);
+  EXPECT_NE(a[1].find("\nlink,"), std::string::npos);
+  EXPECT_NE(a[1].find("\nwindow,"), std::string::npos);
+  EXPECT_NE(a[1].find("\nclass,,,local,"), std::string::npos);
 
   EXPECT_EQ(a[2].rfind("P2\n", 0), 0u) << "PGM magic";
-  EXPECT_FALSE(a[3].empty());
+  EXPECT_NE(a[3].find("mesh-8x8"), std::string::npos);
 }
 
 TEST(Telemetry, WriteFilePicksFormatByExtension) {
   auto h = Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy, 2, 2);
-  NetTelemetry tel(1e-3);
-  tel.bind(*h.net);
-  tel.on_transmit(0, 0, 0.1e-3, 0.2e-3);
-  tel.sample(0.5e-3);
+  StreamTelemetry st;
+  st.bind(*h.net);
+  st.on_transmit(0, 0, data_packet(0, 1), 0.1e-3, 0.2e-3);
+  st.roll(1e-3);
+  st.finalize(1.5e-3);
 
   const std::string csv_path = ::testing::TempDir() + "telemetry.csv";
   const std::string json_path = ::testing::TempDir() + "telemetry.json";
   const std::string pgm_path = ::testing::TempDir() + "telemetry.pgm";
-  ASSERT_TRUE(tel.write_file(csv_path));
-  ASSERT_TRUE(tel.write_file(json_path));
-  ASSERT_TRUE(tel.write_heatmap_file(pgm_path, *h.topo));
+  const std::string txt_path = ::testing::TempDir() + "telemetry.txt";
+  ASSERT_TRUE(st.write_telemetry_file(csv_path));
+  ASSERT_TRUE(st.write_telemetry_file(json_path));
+  ASSERT_TRUE(st.write_heatmap_file(pgm_path, *h.topo));
+  ASSERT_TRUE(st.write_heatmap_file(txt_path, *h.topo));
 
-  std::ifstream csv(csv_path);
-  std::string first;
-  std::getline(csv, first);
-  EXPECT_EQ(first, "kind,id,port,bin_time_s,value");
-  std::ifstream json(json_path);
-  std::stringstream body;
-  body << json.rdbuf();
-  EXPECT_TRUE(obs::json_valid(body.str()));
-  std::ifstream pgm(pgm_path);
-  std::getline(pgm, first);
-  EXPECT_EQ(first, "P2");
-  std::remove(csv_path.c_str());
-  std::remove(json_path.c_str());
-  std::remove(pgm_path.c_str());
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    std::stringstream body;
+    body << in.rdbuf();
+    return body.str();
+  };
+  EXPECT_EQ(slurp(csv_path), st.telemetry_csv());
+  EXPECT_EQ(slurp(json_path), st.telemetry_json());
+  EXPECT_TRUE(obs::json_valid(slurp(json_path)));
+  EXPECT_EQ(slurp(pgm_path), st.heatmap_pgm());
+  EXPECT_EQ(slurp(txt_path), st.heatmap_ascii(*h.topo));
+  for (const std::string* p : {&csv_path, &json_path, &pgm_path, &txt_path}) {
+    std::remove(p->c_str());
+  }
 }
 
 /// The sweep executor's worker count must not leak into probe output: the
 /// serial probe bytes are a function of scenario + seed only.
 TEST(Telemetry, ProbeBytesAreIndependentOfDefaultJobs) {
   const auto probe = [] {
-    ScenarioSpec sc =hotspot_scenario();
-    NetTelemetry tel(sc.bin_width);
-    sc.sinks.telemetry = &tel;
+    ScenarioSpec sc = hotspot_scenario();
+    StreamTelemetry st;
+    sc.sinks.stream = &st;
     run_synthetic("pr-drb", sc);
-    return tel.to_json();
+    return st.telemetry_json() + st.heatmap_pgm();
   };
   const int saved = default_jobs();
   set_default_jobs(1);
@@ -333,7 +394,7 @@ TEST(Watchdog, WriteDumpFileOnlyAfterFiring) {
 
 TEST(Telemetry, DetachedHooksStayAllocationFreeInSteadyState) {
   // Same steady-state contract as Allocations.NetworkSteadyStateHops...:
-  // with no telemetry or recorder bound, the new hook sites are single
+  // with no stream or recorder bound, their hook sites are single
   // not-taken branches and must not add allocations.
   auto h = Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy, 4, 4);
   const int kMessages = 400;
@@ -354,20 +415,17 @@ TEST(Telemetry, DetachedHooksStayAllocationFreeInSteadyState) {
 
 TEST(Telemetry, BoundTransmitPathIsAllocationFreeOnceBinsAreWarm) {
   auto h = Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy, 2, 2);
-  NetTelemetry tel(1e-3);
-  tel.bind(*h.net);
-  // Warm both per-link bin vectors (busy and stalls) across the domain.
-  for (std::size_t r = 0; r < tel.num_routers(); ++r) {
-    tel.on_transmit(static_cast<RouterId>(r), 0, 5e-3, 1e-4);
-    tel.on_credit_stall(static_cast<RouterId>(r), 0, 5e-3);
-  }
+  StreamTelemetry st;
+  st.bind(*h.net);
+  const Packet p = data_packet(0, 1);
+  // Warm the link's recent-flow entry for this flow.
+  st.on_transmit(0, 0, p, 0.0, 1e-4);
   test::AllocationScope scope;
   for (int i = 0; i < 10000; ++i) {
-    tel.on_transmit(0, 0, (i % 5) * 1e-3, 0.5e-3);
-    tel.on_credit_stall(0, 0, (i % 5) * 1e-3);
-    tel.on_inject_stall(1, (i % 5) * 1e-3);
+    st.on_transmit(0, 0, p, (i % 5) * 1e-3, 0.5e-3);
+    st.on_credit_stall(0, 0, (i % 5) * 1e-3);
   }
-  EXPECT_EQ(scope.count(), 0u) << "warmed telemetry hooks allocated";
+  EXPECT_EQ(scope.count(), 0u) << "bound transmit/stall hooks allocated";
 }
 
 }  // namespace

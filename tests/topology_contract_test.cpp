@@ -16,6 +16,7 @@
 // New topologies join the suite by adding one factory line to kCases.
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,10 @@ struct TopoCase {
   const char* label;
   std::unique_ptr<Topology> (*make)();
 };
+
+// CTest names each case "<label>  # GetParam() = <this>"; the default byte
+// dump would print the two pointers, which change from build to build.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.make()->name(); }
 
 const TopoCase kCases[] = {
     {"Mesh2D", [] {
@@ -114,7 +119,9 @@ TEST_P(TopologyContract, DistanceIsASymmetricMetric) {
     EXPECT_GE(sd, 0);
     EXPECT_EQ(sd, t.distance(d, s)) << GetParam().label << " " << s << "<->"
                                     << d;
-    if (t.node_router(s) == t.node_router(d)) EXPECT_EQ(sd, 0);
+    if (t.node_router(s) == t.node_router(d)) {
+      EXPECT_EQ(sd, 0);
+    }
   }
   for (NodeId n = 0; n < t.num_nodes(); n += 3) {
     EXPECT_EQ(t.distance(n, n), 0);
