@@ -11,13 +11,15 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "obs/probe.hpp"
+#include "obs/tracer.hpp"
 
 using namespace prdrb;
 using namespace prdrb::bench;
 
 namespace {
 
-struct Probe {
+struct HotspotRun {
   Simulator sim;
   std::unique_ptr<Mesh2D> mesh = std::make_unique<Mesh2D>(8, 8);
   NetConfig cfg;
@@ -25,14 +27,14 @@ struct Probe {
   std::unique_ptr<Network> net;
   std::unique_ptr<MetricsCollector> metrics;
 
-  Probe() {
+  HotspotRun() {
     net = std::make_unique<Network>(sim, *mesh, cfg, policy);
     metrics = std::make_unique<MetricsCollector>(64, 64, 0.5e-3);
     net->set_observer(metrics.get());
   }
 };
 
-void report_flows(Probe& p, const HotspotPattern& pat, const char* title) {
+void report_flows(HotspotRun& p, const HotspotPattern& pat, const char* title) {
   std::cout << "\n" << title << "\n";
   Table t({"flow", "open_paths", "expansions", "mp_latency_us"});
   for (const auto& [s, d] : pat.flows()) {
@@ -48,18 +50,17 @@ void report_flows(Probe& p, const HotspotPattern& pat, const char* title) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchMain bench("bench_fig_4_8_path_opening", argc, argv);
+  static constexpr std::string_view kTraceOnly[] = {"--trace-out"};
+  BenchMain bench("bench_fig_4_8_path_opening", argc, argv, kTraceOnly);
   std::cout << "=== Figs 4.8/4.9: DRB path-opening procedures under "
                "scripted hot-spots ===\n";
   {
-    Probe p;
-    // The scripted hot-spot is a natural tracing subject: attach the
-    // lifecycle tracer directly when --trace-out was given.
+    HotspotRun p;
+    // The scripted hot-spot is a natural tracing subject: bind a probe
+    // with the lifecycle tracer when --trace-out was given.
     obs::Tracer tracer;
-    if (!bench.options().trace_out.empty()) {
-      p.net->add_observer(&tracer);
-      p.policy.set_tracer(&tracer);
-    }
+    obs::Probe probe({.tracer = &tracer});
+    if (!bench.options().trace_out.empty()) p.net->bind_probe(&probe);
     const HotspotPattern pat = make_mesh_cross_hotspot(*p.mesh, 8);
     TrafficConfig tc;
     tc.rate_bps = 1200e6;
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
     }
   }
   {
-    Probe p;
+    HotspotRun p;
     const HotspotPattern pat = make_mesh_double_hotspot(*p.mesh);
     TrafficConfig tc;
     tc.rate_bps = 1200e6;

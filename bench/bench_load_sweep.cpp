@@ -11,8 +11,9 @@
 //
 // Outputs besides the table: BENCH_load_sweep.json (the consolidated
 // per-policy latency / delivery / events curve), the run manifest, and —
-// with --trace-out / --metrics-out — a serial instrumented probe of the
-// pr-drb mid-load point whose trace bytes are independent of --jobs.
+// with any probe output flag (--trace-out, --metrics-out, --stream-out,
+// ...) — a serial instrumented probe of the pr-drb mid-load point whose
+// output bytes are independent of --jobs.
 #include <chrono>
 #include <iostream>
 #include <vector>
@@ -81,7 +82,7 @@ void write_curve_json(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchMain bench("bench_load_sweep", argc, argv);
+  BenchMain bench("bench_load_sweep", argc, argv, kProbeFlags);
   std::cout << "=== Load sweep: global latency vs offered load, 8x8 mesh "
                "hot-spot ===\n";
   const std::vector<double> rates = {200e6, 400e6, 600e6,

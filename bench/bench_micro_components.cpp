@@ -9,6 +9,7 @@
 #include "net/mesh2d.hpp"
 #include "net/network.hpp"
 #include "obs/counters.hpp"
+#include "obs/probe.hpp"
 #include "obs/scorecard.hpp"
 #include "obs/stream.hpp"
 #include "obs/tracer.hpp"
@@ -150,14 +151,13 @@ void BM_SimulatedNetworkHop(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedNetworkHop)->Unit(benchmark::kMillisecond);
 
-/// Observability overhead on the same loaded mesh. Arg(0): tracer attached
-/// but disabled — the per-event cost is one virtual observer dispatch plus
-/// an early-return branch, and must sit within noise of
-/// BM_SimulatedNetworkHop (the ≤2 % acceptance bound; no tracer attached at
-/// all is the true zero-overhead state: a single not-taken branch).
-/// Arg(1): tracing enabled — pays JSON formatting per event.
-void BM_SimulatedNetworkHopTraced(benchmark::State& state) {
-  const bool enabled = state.range(0) != 0;
+/// The loaded mesh of BM_SimulatedNetworkHop with one fresh `Sink` per
+/// iteration bound through an obs::Probe (`attach` names it in the probe's
+/// sinks), so each row's delta to the bare row is that sink's cost. A
+/// probe-less run pays one not-taken branch per hook site — that is
+/// BM_SimulatedNetworkHop itself.
+template <typename Sink, typename Attach, typename Report>
+void run_probed_hop(benchmark::State& state, Attach attach, Report report) {
   for (auto _ : state) {
     state.PauseTiming();
     Simulator sim;
@@ -165,88 +165,15 @@ void BM_SimulatedNetworkHopTraced(benchmark::State& state) {
     NetConfig cfg;
     DeterministicPolicy policy;
     Network net(sim, mesh, cfg, policy);
-    obs::Tracer tracer(enabled);
-    net.add_observer(&tracer);
-    UniformPattern pat(64);
-    Rng rng(9);
-    for (int i = 0; i < 2000; ++i) {
-      const auto s = static_cast<NodeId>(rng.next_below(64));
-      const NodeId d = pat.destination(s, rng);
-      if (d != s) net.send_message(s, d, 1024);
-    }
-    state.ResumeTiming();
-    sim.run();
-    state.counters["trace_events"] = static_cast<double>(tracer.events());
-  }
-}
-BENCHMARK(BM_SimulatedNetworkHopTraced)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-/// Streaming-aggregation (scorecard) overhead on the same loaded mesh.
-/// Arg(0): scorecard not bound — every hook site pays one not-taken
-/// null-pointer branch and the packet phase fields are never written; must
-/// sit within noise of BM_SimulatedNetworkHop. Arg(1): scorecard bound —
-/// pays the phase-timer writes per hop and one histogram fold per delivery
-/// (fixed log-bucket cells: O(bins) memory, no per-packet retention; the
-/// only allocations are std::map flow-record nodes, bounded by distinct
-/// (src,dst) pairs — see tests/scorecard_test.cpp for the interposer proof).
-void BM_SimulatedNetworkHopScorecard(benchmark::State& state) {
-  const bool enabled = state.range(0) != 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Simulator sim;
-    Mesh2D mesh(8, 8);
-    NetConfig cfg;
-    DeterministicPolicy policy;
-    Network net(sim, mesh, cfg, policy);
-    obs::Scorecard scorecard;
-    if (enabled) net.bind_scorecard(&scorecard);
-    UniformPattern pat(64);
-    Rng rng(9);
-    for (int i = 0; i < 2000; ++i) {
-      const auto s = static_cast<NodeId>(rng.next_below(64));
-      const NodeId d = pat.destination(s, rng);
-      if (d != s) net.send_message(s, d, 1024);
-    }
-    state.ResumeTiming();
-    sim.run();
-    state.PauseTiming();
-    state.counters["deliveries"] =
-        static_cast<double>(scorecard.deliveries());
-    net.bind_scorecard(nullptr);
-    state.ResumeTiming();
-  }
-}
-BENCHMARK(BM_SimulatedNetworkHopScorecard)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-/// Bounded-memory streaming-telemetry overhead on the same loaded mesh.
-/// Arg(0): stream not bound — the transmit/stall hot paths pay one
-/// not-taken null-pointer branch each (the same guard shape as the
-/// scorecard hooks) and must sit within noise of
-/// BM_SimulatedNetworkHop. Arg(1): stream bound and rolled on a sampler
-/// chain, the attach_sinks wiring — pays the window-boundary split plus
-/// the recent-flow note per transmit, and an O(links) window fold per
-/// roll, all against a fixed memory budget (see obs/stream).
-void BM_SimulatedNetworkHopStream(benchmark::State& state) {
-  const bool enabled = state.range(0) != 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Simulator sim;
-    Mesh2D mesh(8, 8);
-    NetConfig cfg;
-    DeterministicPolicy policy;
-    Network net(sim, mesh, cfg, policy);
-    obs::StreamTelemetry stream;
+    Sink sink;
+    obs::Probe::Sinks sinks;
+    attach(sinks, sink);
+    obs::Probe probe(sinks);
+    net.bind_probe(&probe);
     obs::CounterRegistry reg;
     obs::CounterSampler sampler(sim, reg);
-    if (enabled) {
-      net.bind_stream(&stream);
-      obs::StreamTelemetry* st = &stream;
+    if (obs::StreamTelemetry* st = sinks.stream) {
+      // The attach_sinks wiring: the window clock rides a sampler chain.
       sampler.add_probe(1e-3, [st](SimTime now) { st->roll(now); });
       sampler.start(1e-3);
     }
@@ -260,18 +187,50 @@ void BM_SimulatedNetworkHopStream(benchmark::State& state) {
     state.ResumeTiming();
     sim.run();
     state.PauseTiming();
-    state.counters["windows"] =
-        static_cast<double>(stream.windows_rolled());
-    state.counters["state_bytes"] =
-        static_cast<double>(stream.memory_bytes());
-    net.bind_stream(nullptr);
+    report(state, sink);
     state.ResumeTiming();
   }
 }
-BENCHMARK(BM_SimulatedNetworkHopStream)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+
+/// Tracing: pays JSON formatting per lifecycle event.
+void BM_SimulatedNetworkHopTraced(benchmark::State& state) {
+  run_probed_hop<obs::Tracer>(
+      state, [](obs::Probe::Sinks& s, obs::Tracer& t) { s.tracer = &t; },
+      [](benchmark::State& st, const obs::Tracer& t) {
+        st.counters["trace_events"] = static_cast<double>(t.events());
+      });
+}
+BENCHMARK(BM_SimulatedNetworkHopTraced)->Unit(benchmark::kMillisecond);
+
+/// Scorecard: pays the phase-timer writes per hop and one histogram fold
+/// per delivery (fixed log-bucket cells: O(bins) memory, no per-packet
+/// retention; the only allocations are std::map flow-record nodes, bounded
+/// by distinct (src,dst) pairs — see tests/scorecard_test.cpp for the
+/// interposer proof).
+void BM_SimulatedNetworkHopScorecard(benchmark::State& state) {
+  run_probed_hop<obs::Scorecard>(
+      state,
+      [](obs::Probe::Sinks& s, obs::Scorecard& c) { s.scorecard = &c; },
+      [](benchmark::State& st, const obs::Scorecard& c) {
+        st.counters["deliveries"] = static_cast<double>(c.deliveries());
+      });
+}
+BENCHMARK(BM_SimulatedNetworkHopScorecard)->Unit(benchmark::kMillisecond);
+
+/// Bounded-memory streaming telemetry, rolled on a sampler chain: pays the
+/// window-boundary split plus the recent-flow note per transmit, and an
+/// O(links) window fold per roll, all against a fixed memory budget (see
+/// obs/stream).
+void BM_SimulatedNetworkHopStream(benchmark::State& state) {
+  run_probed_hop<obs::StreamTelemetry>(
+      state,
+      [](obs::Probe::Sinks& s, obs::StreamTelemetry& t) { s.stream = &t; },
+      [](benchmark::State& st, const obs::StreamTelemetry& t) {
+        st.counters["windows"] = static_cast<double>(t.windows_rolled());
+        st.counters["state_bytes"] = static_cast<double>(t.memory_bytes());
+      });
+}
+BENCHMARK(BM_SimulatedNetworkHopStream)->Unit(benchmark::kMillisecond);
 
 /// Counter hot-path and sampling costs.
 void BM_CounterIncrement(benchmark::State& state) {

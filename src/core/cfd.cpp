@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
-#include "obs/tracer.hpp"
+#include "obs/probe.hpp"
 
 namespace prdrb {
 
@@ -55,16 +54,9 @@ void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
 
   static thread_local std::vector<ContendingFlow> flows;
   select_contenders(head, queue, cfg.max_contending_flows, flows);
-  if (tracer_) {
-    tracer_->congestion_detected(r, port, wait,
-                                 static_cast<int>(flows.size()),
-                                 net.simulator().now());
-  }
-  if (recorder_) {
-    recorder_->record(obs::FlightRecorder::EventKind::kCongestion,
-                      net.simulator().now(), r, port,
-                      static_cast<std::int32_t>(flows.size()), wait);
-  }
+  const SimTime now = net.simulator().now();
+  obs::Probe* probe = net.probe();
+  if (probe) probe->congestion(r, port, wait, flows.size(), now);
   if (flows.empty()) return;
 
   if (mode_ == NotificationMode::kDestinationBased) {
@@ -85,7 +77,6 @@ void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
   // (GPA module). The P bit tells the destination the flows were already
   // reported, so its ACK carries only the latency (§3.4.2).
   head.predictive_bit = true;
-  const SimTime now = net.simulator().now();
   for (const ContendingFlow& f : flows) {
     const std::uint64_t k =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
@@ -107,11 +98,7 @@ void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
     ack.contending.assign(flows.begin(), flows.end());
     net.inject_at_router(r, std::move(ack));
     ++predictive_acks_;
-    if (tracer_) tracer_->predictive_ack(r, f.src, now);
-    if (recorder_) {
-      recorder_->record(obs::FlightRecorder::EventKind::kPredictiveAck, now,
-                        r, f.src);
-    }
+    if (probe) probe->predictive_ack(r, f.src, now);
   }
 }
 

@@ -19,11 +19,6 @@
 
 namespace prdrb {
 
-namespace obs {
-class FlightRecorder;
-class Tracer;
-}  // namespace obs
-
 enum class NotificationMode : std::uint8_t {
   kDestinationBased,  // flows travel in the data packet (§3.2.2)
   kRouterBased,       // router injects predictive ACKs early (§3.4.1)
@@ -52,13 +47,6 @@ class CongestionDetector final : public RouterMonitor {
   /// max_contending_flows (destination-based mode).
   std::uint64_t truncated_flows() const { return truncated_flows_; }
 
-  /// Attach a tracer for "congestion"/"pred-ack" events; nullptr detaches
-  /// (the disabled state costs a single branch per detection).
-  void set_tracer(obs::Tracer* t) { tracer_ = t; }
-
-  /// Attach a flight recorder for the same detection/ACK events.
-  void set_recorder(obs::FlightRecorder* rec) { recorder_ = rec; }
-
  private:
   /// Pick the top-contributing flows in the queue (by queued bytes).
   void select_contenders(const Packet& head,
@@ -72,8 +60,6 @@ class CongestionDetector final : public RouterMonitor {
   std::uint64_t detections_ = 0;
   std::uint64_t predictive_acks_ = 0;
   std::uint64_t truncated_flows_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
 };
 
 }  // namespace prdrb

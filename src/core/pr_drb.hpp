@@ -58,13 +58,16 @@ class PredictiveEngine {
   }
 
   /// Entering the High zone: look the situation up; on a hit install the
-  /// saved paths into `mp` and return true. Emits "sdb-hit"/"sdb-miss"
-  /// trace events when a tracer is attached.
-  bool enter_high(Metapath& mp, NodeId src, NodeId dst, SimTime now);
+  /// saved paths into `mp` and return true. The outcome (hit, miss, empty
+  /// probe) is raised on `probe`, the owning policy's network probe
+  /// (nullptr when none is bound).
+  bool enter_high(Metapath& mp, NodeId src, NodeId dst, SimTime now,
+                  obs::Probe* probe);
 
   /// High -> Medium: congestion controlled; persist the winning path set
-  /// (traced as "sdb-save").
-  void calmed(const Metapath& mp, NodeId src, NodeId dst, SimTime now);
+  /// (raised on `probe` as an SDB save).
+  void calmed(const Metapath& mp, NodeId src, NodeId dst, SimTime now,
+              obs::Probe* probe);
 
   /// Trend extension: true when the sample trend predicts the Eq. 3.4
   /// aggregate will cross `threshold_high` within the configured horizon.
@@ -77,31 +80,11 @@ class PredictiveEngine {
   std::uint64_t trend_triggers() const { return trend_triggers_; }
   void count_trend_trigger() { ++trend_triggers_; }
 
-  /// Attach a tracer for solution-database hit/miss/save events; nullptr
-  /// detaches (single-branch disabled fast path).
-  void set_tracer(obs::Tracer* t) { tracer_ = t; }
-
-  /// Attach a flight recorder for the same hit/miss/save events.
-  void set_recorder(obs::FlightRecorder* rec) { recorder_ = rec; }
-
-  /// Attach the predictive-efficacy scorecard: SDB hits/misses/saves and
-  /// empty probes feed its warm-vs-cold episode accounting. nullptr
-  /// detaches.
-  void set_scorecard(obs::Scorecard* s) { scorecard_ = s; }
-
-  /// Attach streaming telemetry: SDB installs count as PREDICTIVE
-  /// metapath opens in its lead-time analyzer. nullptr detaches.
-  void set_stream(obs::StreamTelemetry* s) { stream_ = s; }
-
  private:
   PrDrbConfig cfg_;
   SolutionDatabase db_;
   std::uint64_t installs_ = 0;
   std::uint64_t trend_triggers_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
-  obs::Scorecard* scorecard_ = nullptr;
-  obs::StreamTelemetry* stream_ = nullptr;
 };
 
 class PrDrbPolicy : public DrbPolicy {

@@ -5,28 +5,9 @@
 #include <utility>
 
 #include "obs/counters.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/scorecard.hpp"
-#include "obs/stream.hpp"
+#include "obs/probe.hpp"
 
 namespace prdrb {
-
-namespace {
-
-/// Bytes of multi-header and predictive-header overhead a packet carries on
-/// the wire beyond its payload: 4 bytes per used intermediate-node slot and
-/// per congested-router field, 8 per contending-flow entry (Figs. 3.16-3.18
-/// field widths). Tracked by the "net.header.overhead_bytes" counter.
-std::int64_t header_overhead_bytes(const Packet& p) {
-  std::int64_t b = 0;
-  if (p.intermediate1 != kInvalidNode) b += 4;
-  if (p.intermediate2 != kInvalidNode) b += 4;
-  if (p.congested_router != kInvalidRouter) b += 4;
-  b += static_cast<std::int64_t>(p.contending.size()) * 8;
-  return b;
-}
-
-}  // namespace
 
 Network::Network(Simulator& sim, const Topology& topo, const NetConfig& cfg,
                  RoutingPolicy& policy)
@@ -48,9 +29,8 @@ std::uint64_t Network::send_message(NodeId src, NodeId dst,
                                     std::int64_t seq) {
   const std::uint64_t mid = next_message_id_++;
   const SimTime now = sim_.now();
-  for (NetworkObserver* obs : observers_) {
-    obs->on_message_injected(src, dst, bytes, now);
-  }
+  if (observer_) observer_->on_message_injected(src, dst, bytes, now);
+  if (probe_) probe_->inject(src, dst, bytes, now);
 
   if (src == dst) {
     // Local communication never enters the network (thesis §2.2.6: traffic
@@ -119,11 +99,7 @@ void Network::nic_try_inject(NodeId n) {
     if (!nic.waiting) {
       nic.waiting = true;
       ++nic.inject_stalls;
-      if (counters_) counters_->credit_stalls->increment();
-      if (recorder_) {
-        recorder_->record(obs::FlightRecorder::EventKind::kInjectStall,
-                          sim_.now(), n);
-      }
+      if (probe_) probe_->inject_stall(n, sim_.now());
       Waiter w;
       w.kind = Waiter::Kind::kNic;
       w.nic = n;
@@ -140,12 +116,7 @@ void Network::nic_try_inject(NodeId n) {
   nic.bytes_injected += p->size_bytes;
 
   const SimTime ser = cfg_.serialization_time(p->size_bytes);
-  if (scorecard_) {
-    // Phase timers are written only when attached so detached runs never
-    // touch the fields (the scorecard's zero-cost contract).
-    p->inject_wait = sim_.now() - p->queued_at;
-    p->transmit_time += ser;
-  }
+  if (probe_) probe_->nic_transmit(*p, sim_.now(), ser);
   sim_.schedule_in(ser, [this, n] {
     nics_[static_cast<std::size_t>(n)].injecting = false;
     nic_try_inject(n);
@@ -217,24 +188,17 @@ void Network::try_transmit(RouterId r, int port) {
   const int vn = head.virtual_network();
   Router& downstream = routers_[static_cast<std::size_t>(tgt.router)];
   if (downstream.vn_used[static_cast<std::size_t>(vn)] + head.size_bytes > vn_capacity_) {
-    if (!out.waiting) {
+    const bool new_stall = !out.waiting;
+    if (new_stall) {
       out.waiting = true;
       ++out.credit_stalls;
-      if (counters_) counters_->credit_stalls->increment();
-      if (stream_) stream_->on_credit_stall(r, port, sim_.now());
-      if (recorder_) {
-        recorder_->record(obs::FlightRecorder::EventKind::kCreditStall,
-                          sim_.now(), r, port);
-      }
       Waiter w;
       w.kind = Waiter::Kind::kRouterPort;
       w.router = r;
       w.port = port;
       add_waiter(tgt.router, vn, w);
     }
-    // Keep the earliest stall start: waiters wake via schedule_in(0), so
-    // the stall ends exactly at the successful transmit below.
-    if (scorecard_ && head.stall_since < 0) head.stall_since = sim_.now();
+    if (probe_) probe_->credit_stall(r, port, head, new_stall, sim_.now());
     return;
   }
 
@@ -251,32 +215,17 @@ void Network::try_transmit(RouterId r, int port) {
   ++out.packets_sent;
   router.total_contention += wait;
   ++router.packets_forwarded;
-  for (NetworkObserver* obs : observers_) {
-    obs->on_port_wait(r, port, wait, now);
-    obs->on_packet_forwarded(*p, r, now);
+  if (observer_) {
+    observer_->on_port_wait(r, port, wait, now);
+    observer_->on_packet_forwarded(*p, r, now);
   }
+  if (probe_) probe_->hop(*p, r, now);
   if (monitor_) monitor_->on_transmit(*this, r, port, *p, wait, out.queue);
-  if (counters_) {
-    counters_->link_packets->increment();
-    counters_->link_bytes->add(static_cast<std::uint64_t>(p->size_bytes));
-    counters_->header_overhead_bytes->add(
-        static_cast<std::uint64_t>(header_overhead_bytes(*p)));
-    if (p->is_ack()) {
-      counters_->ack_bytes->add(static_cast<std::uint64_t>(p->size_bytes));
-    }
-  }
 
   out.busy = true;
   const SimTime ser = cfg_.serialization_time(p->size_bytes);
   out.busy_time += ser;
-  if (scorecard_) {
-    if (p->stall_since >= 0) {
-      p->stall_wait += now - p->stall_since;
-      p->stall_since = -1;
-    }
-    p->transmit_time += ser;
-  }
-  if (stream_) stream_->on_transmit(r, port, *p, now, ser);
+  if (probe_) probe_->transmit(r, port, *p, now, ser);
   const std::int64_t bytes = p->size_bytes;
   sim_.schedule_in(ser, [this, r, port, vn, bytes] {
     routers_[static_cast<std::size_t>(r)].ports[static_cast<std::size_t>(port)].busy = false;
@@ -290,7 +239,7 @@ void Network::try_transmit(RouterId r, int port) {
 void Network::deliver(RouterId r, Packet* p) {
   release(r, p->virtual_network(), p->size_bytes);
   const SimTime now = sim_.now();
-  if (scorecard_) scorecard_->on_delivered(*p, now);
+  if (probe_) probe_->deliver(*p, now);
 
   if (p->is_ack()) {
     policy_.on_ack(p->destination, *p, now);
@@ -302,7 +251,7 @@ void Network::deliver(RouterId r, Packet* p) {
   ++nic.packets_received;
   nic.bytes_received += p->size_bytes;
   ++packets_delivered_;
-  for (NetworkObserver* obs : observers_) obs->on_packet_delivered(*p, now);
+  if (observer_) observer_->on_packet_delivered(*p, now);
 
   RxMessage& msg = nic.rx[p->message_id];
   if (msg.total_fragments == 0) {
@@ -337,9 +286,9 @@ void Network::deliver(RouterId r, Packet* p) {
 void Network::complete_message(Nic& nic, const Packet& last, RxMessage&& msg) {
   const SimTime now = sim_.now();
   ++nic.messages_completed;
-  for (NetworkObserver* obs : observers_) {
-    obs->on_message_delivered(last.source, last.destination, msg.bytes,
-                              msg.inject_time, now);
+  if (observer_) {
+    observer_->on_message_delivered(last.source, last.destination, msg.bytes,
+                                    msg.inject_time, now);
   }
   if (on_message_) {
     on_message_(last.source, last.destination, msg.bytes, msg.mpi_type,
@@ -381,7 +330,7 @@ void Network::complete_message(Nic& nic, const Packet& last, RxMessage&& msg) {
 
 void Network::note_header_truncation() {
   ++header_truncations_;
-  if (counters_) counters_->header_truncated_flows->increment();
+  if (probe_) probe_->header_truncation();
 }
 
 void Network::release(RouterId r, int vn, std::int64_t bytes) {
@@ -394,16 +343,12 @@ void Network::add_waiter(RouterId r, int vn, Waiter w) {
   routers_[static_cast<std::size_t>(r)].waiters[static_cast<std::size_t>(vn)].push_back(w);
 }
 
-void Network::bind_counters(obs::CounterRegistry& reg) {
-  counters_ = std::make_unique<NetCounters>();
-  counters_->link_packets = &reg.counter("net.link.packets");
-  counters_->link_bytes = &reg.counter("net.link.bytes");
-  counters_->ack_bytes = &reg.counter("net.ack.bytes");
-  counters_->header_overhead_bytes = &reg.counter("net.header.overhead_bytes");
-  counters_->header_truncated_flows =
-      &reg.counter("net.header.truncated_flows");
-  counters_->credit_stalls = &reg.counter("net.credit.stalls");
+void Network::bind_probe(obs::Probe* probe) {
+  probe_ = probe;
+  if (probe) probe->bind(*this);
+}
 
+void Network::register_gauges(obs::CounterRegistry& reg) {
   // Pull-style gauges: evaluated only when the registry is sampled, so
   // they add nothing to the event-processing hot path.
   reg.gauge("net.link.utilization", [this] {
@@ -453,17 +398,13 @@ void Network::bind_counters(obs::CounterRegistry& reg) {
   }
 }
 
-void Network::bind_stream(obs::StreamTelemetry* s) {
-  stream_ = s;
-  if (s) s->bind(*this);
-}
-
 void Network::wake_waiters(RouterId r, int vn) {
   auto& list = routers_[static_cast<std::size_t>(r)].waiters[static_cast<std::size_t>(vn)];
   if (list.empty()) return;
-  std::vector<Waiter> woken;
-  woken.swap(list);
-  for (const Waiter& w : woken) {
+  // Scheduling runs nothing synchronously, so the list can be walked in
+  // place and cleared: it keeps its capacity, and the next stall's
+  // add_waiter does not allocate.
+  for (const Waiter& w : list) {
     sim_.schedule_in(0, [this, w] {
       if (w.kind == Waiter::Kind::kRouterPort) {
         routers_[static_cast<std::size_t>(w.router)].ports[static_cast<std::size_t>(w.port)].waiting = false;
@@ -474,6 +415,7 @@ void Network::wake_waiters(RouterId r, int vn) {
       }
     });
   }
+  list.clear();
 }
 
 }  // namespace prdrb

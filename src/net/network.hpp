@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,15 +28,13 @@
 namespace prdrb {
 
 namespace obs {
-class Counter;
 class CounterRegistry;
-class FlightRecorder;
-class Scorecard;
-class StreamTelemetry;
+class Probe;
 }  // namespace obs
 
-/// Observer of network events; metrics collectors implement this. Several
-/// observers can be attached to one network (add_observer).
+/// Observer of network events; the metrics collector implements this. A
+/// network has at most one (set_observer); the observability sinks attach
+/// through obs::Probe instead (bind_probe).
 class NetworkObserver {
  public:
   virtual ~NetworkObserver() = default;
@@ -83,38 +80,22 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   // ----- configuration -----
-  /// Replace the observer list with a single observer (nullptr clears).
-  void set_observer(NetworkObserver* obs) {
-    observers_.clear();
-    if (obs) observers_.push_back(obs);
-  }
-  /// Attach an additional observer.
-  void add_observer(NetworkObserver* obs) {
-    if (obs) observers_.push_back(obs);
-  }
+  /// The metrics observer (nullptr clears).
+  void set_observer(NetworkObserver* obs) { observer_ = obs; }
   void set_monitor(RouterMonitor* mon) { monitor_ = mon; }
   void set_message_handler(MessageHandler h) { on_message_ = std::move(h); }
 
-  /// Register this network's counters and gauges ("net.*", DESIGN.md
-  /// "Observability") with `reg`. Until called, the hot-path accounting is
-  /// a single not-taken branch — the zero-overhead disabled state.
-  void bind_counters(obs::CounterRegistry& reg);
+  /// Bind the run's observability probe (obs/probe.hpp) and size its sinks
+  /// for this network; nullptr detaches. The routing policy and the router
+  /// monitor reach the probe through probe(). Detached, every hook site is
+  /// a single not-taken branch.
+  void bind_probe(obs::Probe* probe);
+  obs::Probe* probe() const { return probe_; }
 
-  /// Attach a control-plane flight recorder to the stall sites (injection
-  /// and credit stalls); the routing/predictive modules hook it separately.
-  void bind_flight_recorder(obs::FlightRecorder* rec) { recorder_ = rec; }
-
-  /// Attach the predictive-efficacy scorecard to the per-packet phase-timer
-  /// sites and the delivery fold. Same zero-overhead-when-absent contract:
-  /// detached, each site is a single not-taken branch and the packet phase
-  /// fields are never written.
-  void bind_scorecard(obs::Scorecard* s) { scorecard_ = s; }
-
-  /// Attach bounded-memory streaming telemetry (sizes its window rings for
-  /// this network's shape). Same zero-overhead-when-absent contract as the
-  /// other sinks: detached, the transmit/stall sites pay one not-taken
-  /// branch each.
-  void bind_stream(obs::StreamTelemetry* s);
+  /// Register this network's pull gauges ("net.*", DESIGN.md
+  /// "Observability") with `reg`; they are evaluated only when the registry
+  /// is sampled. The push counters belong to the probe.
+  void register_gauges(obs::CounterRegistry& reg);
 
   // ----- send path -----
 
@@ -181,28 +162,14 @@ class Network {
   void add_waiter(RouterId r, int vn, Waiter w);
   void wake_waiters(RouterId r, int vn);
 
-  /// Hot-path counter cells (owned by a CounterRegistry); grouped behind
-  /// one pointer so the disabled fast path costs a single branch.
-  struct NetCounters {
-    obs::Counter* link_packets = nullptr;
-    obs::Counter* link_bytes = nullptr;
-    obs::Counter* ack_bytes = nullptr;
-    obs::Counter* header_overhead_bytes = nullptr;
-    obs::Counter* header_truncated_flows = nullptr;
-    obs::Counter* credit_stalls = nullptr;
-  };
-
   Simulator& sim_;
   const Topology& topo_;
   NetConfig cfg_;
   RoutingPolicy& policy_;
-  std::vector<NetworkObserver*> observers_;
+  NetworkObserver* observer_ = nullptr;
   RouterMonitor* monitor_ = nullptr;
   MessageHandler on_message_;
-  std::unique_ptr<NetCounters> counters_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  obs::Scorecard* scorecard_ = nullptr;
-  obs::StreamTelemetry* stream_ = nullptr;
+  obs::Probe* probe_ = nullptr;
 
   PacketPool pool_;
   std::vector<Router> routers_;

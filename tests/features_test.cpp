@@ -337,7 +337,7 @@ TEST(ExperimentHarness, SyntheticRunProducesMetrics) {
   sc.synthetic().rate_bps = 200e6;
   sc.synthetic().duration = 1e-3;
   sc.synthetic().bursts = 0;
-  const ScenarioResult r = run_synthetic("deterministic", sc);
+  const ScenarioResult r = run_scenario("deterministic", sc);
   EXPECT_GT(r.packets, 0u);
   EXPECT_DOUBLE_EQ(r.delivery_ratio, 1.0);
   EXPECT_GT(r.global_latency, 0.0);
@@ -393,7 +393,7 @@ TEST(ExperimentHarness, TraceRunReportsExecutionTime) {
   sc.topology = "tree-16";
   sc.trace().app = "sweep3d";
   sc.trace().scale.iterations = 2;
-  const ScenarioResult r = run_trace("drb", sc);
+  const ScenarioResult r = run_scenario("drb", sc);
   EXPECT_GT(r.exec_time, 0.0);
   EXPECT_GT(r.packets, 0u);
 }

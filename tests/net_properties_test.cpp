@@ -306,6 +306,59 @@ TEST(Allocations, NetworkSteadyStateHopsAreAllocationFree) {
   EXPECT_EQ(h.net->packet_pool().outstanding(), 0u);
 }
 
+TEST(Allocations, CreditStallWakesDoNotAllocate) {
+  // An incast into node 5 of a 4x4 XY mesh stalls ports and NICs on full
+  // buffers. Each wake-up must reuse the waiter list's capacity, so the
+  // third pass allocates only per-message bookkeeping: the same count with
+  // tight buffers (many stalls) as with roomy ones (fewer stalls).
+  struct Pass {
+    std::uint64_t stalls = 0;
+    std::uint64_t allocations = 0;
+  };
+  auto third_pass = [](std::int64_t buffer_bytes) {
+    NetConfig cfg;
+    cfg.buffer_bytes = buffer_bytes;
+    auto h = Harness::make<Mesh2D>(cfg, new DeterministicPolicy, 4, 4);
+    auto stalls = [&h] {
+      std::uint64_t n = 0;
+      for (RouterId r = 0; r < h.net->num_routers(); ++r) {
+        for (const OutputPort& port : h.net->router(r).ports) {
+          n += port.credit_stalls;
+        }
+      }
+      for (NodeId node = 0; node < h.net->num_nodes(); ++node) {
+        n += h.net->nic(node).inject_stalls;
+      }
+      return n;
+    };
+    auto run_pass = [&h] {
+      for (int i = 0; i < 375; ++i) {
+        NodeId src = static_cast<NodeId>(i % 15);
+        if (src >= 5) ++src;  // every node but the target
+        h.net->send_message(src, 5, 1024);
+      }
+      h.sim.run();
+    };
+    run_pass();
+    run_pass();
+    const std::uint64_t stalls_before = stalls();
+    Pass pass;
+    {
+      test::AllocationScope scope;
+      run_pass();
+      pass.allocations = scope.count();
+    }
+    pass.stalls = stalls() - stalls_before;
+    EXPECT_EQ(h.net->packet_pool().outstanding(), 0u);
+    return pass;
+  };
+  const Pass tight = third_pass(16 * 1024);
+  const Pass roomy = third_pass(128 * 1024);
+  ASSERT_GT(tight.stalls, roomy.stalls + 100);
+  EXPECT_EQ(tight.allocations, roomy.allocations)
+      << "stalls " << tight.stalls << " vs " << roomy.stalls;
+}
+
 TEST(Cfd, HeaderTruncationIsCountedWhenTheCapBites) {
   // A header already at max_contending_flows drops further (distinct)
   // flows; every drop must show up in both the CFD stat and the network's

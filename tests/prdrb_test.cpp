@@ -44,6 +44,13 @@ struct SimilarityCase {
   double expected;
 };
 
+// CTest names each case after this value; the default byte dump includes
+// the struct's uninitialized padding, which differs between builds.
+void PrintTo(const SimilarityCase& c, std::ostream* os) {
+  *os << c.common << " common " << c.only_a << " only-a " << c.only_b
+      << " only-b";
+}
+
 class SignatureSimilarityProperty
     : public ::testing::TestWithParam<SimilarityCase> {};
 

@@ -54,7 +54,7 @@ TEST(Runner, MultiSeedSweepIsByteIdenticalAcrossWorkerCounts) {
 
 TEST(Runner, ParallelMatchesDirectRunSynthetic) {
   const auto sc = small_scenario(42);
-  const auto direct = run_synthetic("drb", sc);
+  const auto direct = run_scenario("drb", sc);
   const auto swept =
       run_sweep({SweepJob::make("drb", sc),
                  SweepJob::make("drb", small_scenario(43))},
@@ -101,7 +101,7 @@ TEST(Runner, ReplicatedSweepKeepsSeedOrder) {
     auto expect_sc = sc;
     expect_sc.seed = 7 + static_cast<std::uint64_t>(i);
     EXPECT_EQ(runs[static_cast<std::size_t>(i)],
-              run_synthetic("drb", expect_sc))
+              run_scenario("drb", expect_sc))
         << "seed " << i;
   }
 }

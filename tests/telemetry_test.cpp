@@ -131,7 +131,7 @@ TEST(Telemetry, SamplingRecordsRouterQueueDepth) {
   // (exported by --metrics-out), sampled on the registry cadence.
   auto h = Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy, 2, 2);
   obs::CounterRegistry reg(1e-3);
-  h.net->bind_counters(reg);
+  h.net->register_gauges(reg);
   reg.sample(0.5e-3);
   const TimeSeries* s = reg.series("net.router.0.queue_bytes");
   ASSERT_NE(s, nullptr);
@@ -161,7 +161,7 @@ TEST(Telemetry, ScenarioExportsAreValidAndByteIdenticalAcrossRuns) {
     ScenarioSpec sc = hotspot_scenario();
     StreamTelemetry st;
     sc.sinks.stream = &st;
-    run_synthetic("pr-drb", sc);
+    run_scenario("pr-drb", sc);
     EXPECT_FALSE(st.bound()) << "run must finalize the stream on exit";
     return std::array<std::string, 4>{
         st.telemetry_json(), st.telemetry_csv(), st.heatmap_pgm(),
@@ -240,7 +240,7 @@ TEST(Telemetry, ProbeBytesAreIndependentOfDefaultJobs) {
     ScenarioSpec sc = hotspot_scenario();
     StreamTelemetry st;
     sc.sinks.stream = &st;
-    run_synthetic("pr-drb", sc);
+    run_scenario("pr-drb", sc);
     return st.telemetry_json() + st.heatmap_pgm();
   };
   const int saved = default_jobs();
@@ -291,7 +291,7 @@ TEST(FlightRecorderTest, ScenarioRunCapturesControlPlaneEvents) {
   ScenarioSpec sc =hotspot_scenario();
   FlightRecorder rec(512);
   sc.sinks.recorder = &rec;
-  run_synthetic("pr-drb", sc);
+  run_scenario("pr-drb", sc);
   EXPECT_GT(rec.recorded(), 0u);
   bool saw_congestion = false, saw_open = false;
   for (const auto& e : rec.snapshot()) {
@@ -331,7 +331,7 @@ TEST(Watchdog, StarvedRunDumpsExactlyOnce) {
   sc.sinks.watchdog_window = 0.5e-3;
   sc.sinks.watchdog_stream = &err;
   sc.sinks.watchdog_dump = &dump;
-  const ScenarioResult r = run_synthetic("deterministic", sc);
+  const ScenarioResult r = run_scenario("deterministic", sc);
   EXPECT_EQ(r.packets, 0u);
 
   ASSERT_FALSE(dump.empty());
@@ -357,7 +357,7 @@ TEST(Watchdog, StarvedDumpIsByteIdenticalAcrossRuns) {
     std::ostringstream sink;
     sc.sinks.watchdog_stream = &sink;
     sc.sinks.watchdog_dump = &dump;
-    run_synthetic("deterministic", sc);
+    run_scenario("deterministic", sc);
     return dump;
   };
   const std::string a = probe();
@@ -373,7 +373,7 @@ TEST(Watchdog, HealthyRunStaysSilent) {
   sc.sinks.watchdog_window = 1e-3;
   sc.sinks.watchdog_stream = &err;
   sc.sinks.watchdog_dump = &dump;
-  const ScenarioResult r = run_synthetic("pr-drb", sc);
+  const ScenarioResult r = run_scenario("pr-drb", sc);
   EXPECT_GT(r.packets, 0u);
   EXPECT_TRUE(dump.empty()) << dump.substr(0, 200);
   EXPECT_TRUE(err.str().empty()) << err.str();
