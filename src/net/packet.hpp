@@ -107,8 +107,8 @@ struct Packet {
   SimTime path_latency = 0;   // accumulated queuing delay (LU module)
   SimTime queued_at = 0;      // scratch: enqueue instant at the current hop
 
-  // Scorecard phase timers. Written only under `if (scorecard_)` guards in
-  // Network, so detached runs never touch them (zero-cost contract).
+  // Scorecard phase timers. Written only by obs::Probe while a scorecard
+  // is attached, so other runs never touch them (zero-cost contract).
   SimTime inject_wait = 0;    // wait in the source NIC injection queue
   SimTime transmit_time = 0;  // accumulated serialization time across hops
   SimTime stall_wait = 0;     // share of queueing spent credit-stalled

@@ -3,11 +3,11 @@
 //
 // FlightRecorder is a fixed-capacity ring of recent control-plane events
 // (CFD congestion detections, predictive ACKs, metapath open/close, SDB
-// hits/misses/saves, injection and credit stalls). Recording is O(1) and
-// allocation-free after construction, so it can ride the hot path behind
-// the same single-branch `if (recorder_)` guards as the tracer; when the
-// ring wraps, the oldest events fall off — by design it answers "what was
-// the control plane doing right before things stopped?".
+// hits/misses/saves, injection and credit stalls), fed by obs::Probe.
+// Recording is O(1) and allocation-free after construction, so it can ride
+// the hot path; when the ring wraps, the oldest events fall off — by design
+// it answers "what was the control plane doing right before things
+// stopped?".
 //
 // StallWatchdog watches virtual-time delivery progress. Polled on the
 // CounterSampler chain, it fires when no packet has been delivered for a

@@ -206,46 +206,6 @@ void Scorecard::finalize(SimTime now) {
   }
 }
 
-void Scorecard::merge(const Scorecard& other) {
-  for (std::size_t i = 0; i < kNumClasses * kNumRoutes * kNumPhases; ++i) {
-    cells_[i].hist.merge(other.cells_[i].hist);
-    cells_[i].seconds += other.cells_[i].seconds;
-  }
-  for (const auto& [key, of] : other.flows_) {
-    FlowRecord& f = flows_[key];
-    f.opens += of.opens;
-    f.closes += of.closes;
-    f.multipath_time += of.multipath_time;
-    for (int r = 0; r < kNumRoutes; ++r) {
-      f.packets[r] += of.packets[r];
-      f.bytes[r] += of.bytes[r];
-    }
-    f.latency_before += of.latency_before;
-    f.n_before += of.n_before;
-    f.latency_during += of.latency_during;
-    f.n_during += of.n_during;
-  }
-  deliveries_ += other.deliveries_;
-  opens_ += other.opens_;
-  closes_ += other.closes_;
-  multipath_time_ += other.multipath_time_;
-  hits_ += other.hits_;
-  misses_ += other.misses_;
-  saves_ += other.saves_;
-  empty_probes_ += other.empty_probes_;
-  cold_episodes_ += other.cold_episodes_;
-  warm_episodes_ += other.warm_episodes_;
-  false_opens_ += other.false_opens_;
-  cold_time_ += other.cold_time_;
-  warm_time_ += other.warm_time_;
-  cold_latency_ += other.cold_latency_;
-  cold_n_ += other.cold_n_;
-  warm_latency_ += other.warm_latency_;
-  warm_n_ += other.warm_n_;
-  cold_duration_.merge(other.cold_duration_);
-  warm_duration_.merge(other.warm_duration_);
-}
-
 void Scorecard::write_json(std::ostream& os) const {
   JsonWriter w;
   w.begin_object();

@@ -25,18 +25,14 @@
 //      false-open rate (warm episodes that still needed gradual opens) and
 //      warm-vs-cold convergence time.
 //
-// Hooks ride the zero-cost unbound-pointer pattern of obs/stream.hpp:
-// every site in Network / DrbPolicy / PredictiveEngine sits behind a
-// single-branch `if (scorecard_)` guard, and the per-packet phase fields
-// are only written under that guard — a detached run's event counts,
-// traces and throughput are untouched. All recorded state is virtual-time
-// only and exports are deterministically ordered, so attached output is
-// byte-identical at any --jobs.
+// Every hook arrives through obs::Probe, which also writes the per-packet
+// phase fields — only while a scorecard is attached, so a detached run's
+// event counts, traces and throughput are untouched. All recorded state is
+// virtual-time only and exports are deterministically ordered, so attached
+// output is byte-identical at any --jobs.
 //
-// Output: "prdrb-scorecard-v1" JSON, written by bench::BenchMain
-// (--scorecard-out) and prdrb_sim, merged across runs with merge() (exact:
-// histogram folds are bucket-wise, see LatencyHistogram::merge), rendered
-// by tools/prdrb_report.
+// Output: "prdrb-scorecard-v1" JSON (--scorecard-out on prdrb_sim and
+// bench_load_sweep), rendered by tools/prdrb_report.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +78,7 @@ class Scorecard {
   static const char* route_name(RouteKind r);
   static const char* phase_name(Phase p);
 
-  // --- delivery fold (Network::deliver, behind `if (scorecard_)`) ---
+  // --- delivery fold (every delivered packet, data or control) ---
   /// Fold a delivered packet's phase timers into the attribution histograms
   /// and its flow's ledger record. O(bins) state, nothing retained per
   /// packet.
@@ -105,11 +101,6 @@ class Scorecard {
   /// Close out open multipath intervals and unresolved episodes at end of
   /// run (`now` = final virtual time). Call once, after Simulator::run().
   void finalize(SimTime now);
-
-  /// Fold another scorecard into this one (bucket-wise histogram adds,
-  /// per-flow record sums). Exact and order-deterministic: merging partial
-  /// scorecards in submission order yields byte-identical exports.
-  void merge(const Scorecard& other);
 
   // --- introspection (tests) ---
   std::uint64_t deliveries() const { return deliveries_; }
@@ -142,8 +133,8 @@ class Scorecard {
   };
 
   /// Per-flow ledger record plus the episode scratch state. The scratch
-  /// fields (multipath_since, episode, ...) are run-local and always
-  /// resolved by finalize(); merge() only sums the ledger fields.
+  /// fields (multipath_since, episode, ...) are always resolved by
+  /// finalize().
   struct FlowRecord {
     // lifecycle ledger
     std::uint64_t opens = 0;
@@ -156,7 +147,7 @@ class Scorecard {
     double latency_during = 0;  // delivered e2e sum while multipath
     std::uint64_t n_during = 0;
 
-    // run-local scratch (not merged)
+    // episode scratch
     SimTime multipath_since = -1;  // <0: currently single-path
     bool install_active = false;   // SDB solution installed this episode
     std::uint8_t episode = 0;      // 0 none, 1 cold, 2 warm
@@ -185,8 +176,8 @@ class Scorecard {
   void end_episode(FlowRecord& f, SimTime now);
 
   Cell cells_[kNumClasses * kNumRoutes * kNumPhases];
-  // std::map: deterministic iteration order for exports and merges without
-  // a sort pass; flow count is bounded by distinct (src,dst) pairs.
+  // std::map: deterministic iteration order for exports without a sort
+  // pass; flow count is bounded by distinct (src,dst) pairs.
   std::map<std::uint64_t, FlowRecord> flows_;
 
   std::uint64_t deliveries_ = 0;

@@ -401,30 +401,6 @@ std::size_t StreamTelemetry::memory_bytes() const {
   return bytes;
 }
 
-void StreamTelemetry::merge(const StreamTelemetry& other) {
-  for (int c = 0; c < kNumClasses; ++c) lead_[c].merge(other.lead_[c]);
-  util_sketch_.merge(other.util_sketch_);
-  util_max_ = std::max(util_max_, other.util_max_);
-  onsets_total_ += other.onsets_total_;
-  onsets_since_snapshot_ += other.onsets_since_snapshot_;
-  opens_predictive_ += other.opens_predictive_;
-  opens_reactive_ += other.opens_reactive_;
-  windows_rolled_ += other.windows_rolled_;
-  total_busy_s_ += other.total_busy_s_;
-  total_stalls_ += other.total_stalls_;
-  total_packets_ += other.total_packets_;
-  for (std::size_t c = 0; c < class_totals_.size(); ++c) {
-    // Sum the traffic ledgers; the link population is this instance's
-    // bind-time shape (per-probe merges share the network's shape).
-    class_totals_[c].busy_s += other.class_totals_[c].busy_s;
-    class_totals_[c].stalls += other.class_totals_[c].stalls;
-    class_totals_[c].packets += other.class_totals_[c].packets;
-    class_totals_[c].links =
-        std::max(class_totals_[c].links, other.class_totals_[c].links);
-  }
-  last_time_ = std::max(last_time_, other.last_time_);
-}
-
 void StreamTelemetry::emit_snapshot(SimTime now, bool summary) {
   JsonWriter w;
   w.begin_object();

@@ -36,9 +36,8 @@
 // after. Per link, an EWMA of the window utilization crossing
 // `onset_threshold` (with hysteresis: re-arms below `onset_clear`) marks a
 // congestion onset; the flows recently seen on that link are matched
-// against their metapath opens (hooks beside the scorecard hooks in
-// DrbPolicy::expand — reactive — and PredictiveEngine::enter_high —
-// predictive):
+// against their metapath opens (obs::Probe raises gradual expansions as
+// reactive opens and SDB installs as predictive ones):
 //
 //   open active before the onset  -> positive lead = onset_t - open_t,
 //   onset with no open, open later -> negative lead = onset_t - open_t.
@@ -47,9 +46,9 @@
 // traffic class; prdrb_report renders the signed medians and gates on
 // losing a positive median ("Prediction lead time" section).
 //
-// Zero-cost when unbound (same single-branch `if (stream_)` guard as the
-// scorecard hooks) and allocation-free in steady state once the windows
-// are sized at bind() — the only exceptions are std::map flow nodes
+// Fed by obs::Probe (zero-cost when no probe is bound) and allocation-free
+// in steady state once the windows are sized at bind() (Network::bind_probe
+// calls it) — the only exceptions are std::map flow nodes
 // (bounded by distinct (src,dst) pairs, the scorecard contract) and the
 // NDJSON and heatmap-row output buffers, which are emitted artifacts rather
 // than telemetry state: both get one 64 KiB reservation at bind(), grow
@@ -139,7 +138,6 @@ class StreamTelemetry {
 
   /// Size the per-link state for `net`'s shape and start observing.
   void bind(const Network& net);
-  void unbind() { bound_ = false; }
   bool bound() const { return bound_; }
 
   const StreamConfig& config() const { return cfg_; }
@@ -156,7 +154,7 @@ class StreamTelemetry {
     cfg_.snapshot_every = std::max<std::size_t>(snapshot_every, 1);
   }
 
-  // --- push hooks (Network, behind single-branch null guards) ---
+  // --- push hooks (obs::Probe, from the network's link sites) ---
   /// A packet committed to router `r` port `port`, occupying the link for
   /// `ser` seconds starting at `start`. Also notes the packet's flow in
   /// the link's recent-flow set for onset attribution.
@@ -165,7 +163,7 @@ class StreamTelemetry {
   /// Port blocked on downstream buffer space.
   void on_credit_stall(RouterId r, int port, SimTime now);
 
-  // --- control-plane hooks (DrbPolicy / PredictiveEngine) ---
+  // --- control-plane hooks (obs::Probe, from the metapath sites) ---
   /// A metapath opened for (src,dst): `predictive` marks SDB installs
   /// (PredictiveEngine::enter_high) vs gradual reactive expansion
   /// (DrbPolicy::expand).
@@ -182,13 +180,6 @@ class StreamTelemetry {
   /// Close any partial window, emit the final snapshot plus the "summary"
   /// line, and stop observing. Idempotent.
   void finalize(SimTime now);
-
-  /// Fold another instance's cumulative statistics (onsets, lead-time
-  /// histograms, totals) into this one. Like Scorecard::merge this sums
-  /// the ledger, not the window scratch: merged summaries equal a
-  /// single-pass run over the concatenated streams (histogram merges are
-  /// exact). Used by BenchMain to fold per-probe streams.
-  void merge(const StreamTelemetry& other);
 
   // --- introspection (tests, gauges) ---
   std::uint64_t windows_rolled() const { return windows_rolled_; }
@@ -290,11 +281,6 @@ class StreamTelemetry {
     LatencyHistogram positive;  // open preceded the onset
     LatencyHistogram negative;  // onset first, open arrived later
     std::uint64_t predictive_opens = 0;  // positive matches from SDB installs
-    void merge(const LeadStats& o) {
-      positive.merge(o.positive);
-      negative.merge(o.negative);
-      predictive_opens += o.predictive_opens;
-    }
   };
 
   std::size_t link_index(RouterId r, int port) const {
@@ -336,8 +322,7 @@ class StreamTelemetry {
   LatencyHistogram util_sketch_;  // busy seconds per closed link-window
   double util_max_ = 0;
 
-  // Cumulative totals kept apart from the per-link state so merge() can
-  // fold instances with different (or no) bound shapes.
+  // Cumulative totals, kept apart from the per-link state.
   double total_busy_s_ = 0;
   std::uint64_t total_stalls_ = 0;
   std::uint64_t total_packets_ = 0;

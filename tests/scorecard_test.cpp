@@ -4,7 +4,6 @@
 //   - ledger splits latency before vs during multipath and tracks intervals
 //   - episode state machine: cold (SDB miss) vs warm (SDB hit), false opens,
 //     finalize() closing open state
-//   - merge() equals a single-pass scorecard, byte-for-byte in JSON
 //   - attached runs leave ScenarioResults untouched; exports are
 //     byte-identical across repeats
 //   - the delivery fold is allocation-free in steady state (interposer)
@@ -270,55 +269,6 @@ TEST(ScorecardEpisodes, FinalizeClosesOpenIntervalsAndEpisodes) {
   const std::string once = sc.to_json();
   sc.finalize(9e-3);
   EXPECT_EQ(sc.to_json(), once);
-}
-
-// ---------------------------------------------------------------------------
-// merge(): equals a single-pass scorecard
-
-void feed_flow_a(Scorecard& sc) {
-  sc.on_sdb_miss(0, 5, 1e-3);
-  sc.on_metapath_open(0, 5, 2, 1.2e-3);
-  sc.on_delivered(data_packet(0, 5, 1), 1.4e-3);
-  sc.on_zone(0, 5, Zone::kHigh, Zone::kMedium, 2e-3);
-  sc.on_metapath_close(0, 5, 1, 2.5e-3);
-  sc.on_delivered(data_packet(0, 5, 0), 3e-3);
-}
-
-void feed_flow_b(Scorecard& sc) {
-  sc.on_sdb_hit(1, 6, 3, 1e-3);
-  sc.on_delivered(data_packet(1, 6, 2), 1.3e-3);
-  sc.on_sdb_save(1, 6, 3, 1.9e-3);
-  sc.on_zone(1, 6, Zone::kHigh, Zone::kMedium, 2e-3);
-  sc.on_sdb_empty_probe(1, 6, 2.2e-3);
-  sc.on_delivered(data_packet(1, 6, 0), 2.4e-3);
-}
-
-TEST(ScorecardMerge, MergeMatchesSinglePassByteForByte) {
-  Scorecard a, b, single;
-  feed_flow_a(a);
-  feed_flow_a(single);
-  feed_flow_b(b);
-  feed_flow_b(single);
-  a.finalize(4e-3);
-  b.finalize(4e-3);
-  single.finalize(4e-3);
-  a.merge(b);
-  EXPECT_EQ(a.to_json(), single.to_json());
-  EXPECT_EQ(a.deliveries(), 4u);
-  EXPECT_EQ(a.flows(), 2u);
-  EXPECT_EQ(a.sdb_hits(), 1u);
-  EXPECT_EQ(a.sdb_misses(), 1u);
-  EXPECT_EQ(a.sdb_saves(), 1u);
-  EXPECT_EQ(a.sdb_empty_probes(), 1u);
-}
-
-TEST(ScorecardMerge, MergeIntoEmptyReproducesTheSource) {
-  Scorecard src, dst;
-  feed_flow_a(src);
-  feed_flow_b(src);
-  src.finalize(4e-3);
-  dst.merge(src);
-  EXPECT_EQ(dst.to_json(), src.to_json());
 }
 
 // ---------------------------------------------------------------------------
