@@ -170,13 +170,6 @@ void run_probed_hop(benchmark::State& state, Attach attach, Report report) {
     attach(sinks, sink);
     obs::Probe probe(sinks);
     net.bind_probe(&probe);
-    obs::CounterRegistry reg;
-    obs::CounterSampler sampler(sim, reg);
-    if (obs::StreamTelemetry* st = sinks.stream) {
-      // The attach_sinks wiring: the window clock rides a sampler chain.
-      sampler.add_probe(1e-3, [st](SimTime now) { st->roll(now); });
-      sampler.start(1e-3);
-    }
     UniformPattern pat(64);
     Rng rng(9);
     for (int i = 0; i < 2000; ++i) {
@@ -185,7 +178,12 @@ void run_probed_hop(benchmark::State& state, Attach attach, Report report) {
       if (d != s) net.send_message(s, d, 1024);
     }
     state.ResumeTiming();
-    sim.run();
+    // The run_scenario wiring: 1 ms windows, the stream rolling at every
+    // boundary after the first.
+    obs::StreamTelemetry* st = sinks.stream;
+    sim.run_windows(1e-3, [st](SimTime t) {
+      if (st && t > 0) st->roll(t);
+    });
     state.PauseTiming();
     report(state, sink);
     state.ResumeTiming();
@@ -217,10 +215,10 @@ void BM_SimulatedNetworkHopScorecard(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedNetworkHopScorecard)->Unit(benchmark::kMillisecond);
 
-/// Bounded-memory streaming telemetry, rolled on a sampler chain: pays the
-/// window-boundary split plus the recent-flow note per transmit, and an
-/// O(links) window fold per roll, all against a fixed memory budget (see
-/// obs/stream).
+/// Bounded-memory streaming telemetry, rolled at 1 ms window boundaries:
+/// pays the window-boundary split plus the recent-flow note per transmit,
+/// and an O(links) window fold per roll, all against a fixed memory budget
+/// (see obs/stream).
 void BM_SimulatedNetworkHopStream(benchmark::State& state) {
   run_probed_hop<obs::StreamTelemetry>(
       state,

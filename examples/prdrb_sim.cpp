@@ -6,8 +6,10 @@
 //   ./build/examples/prdrb_sim --topology tree-64 --policy drb --app pop
 //   ./build/examples/prdrb_sim --help
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "experiment/manifest.hpp"
@@ -82,7 +84,7 @@ observability (DESIGN.md "Observability"):
                         quantiles, congestion onsets, prediction lead times)
                         of a serial base-seed run, closed by a summary line
   --stream-interval <s> snapshot cadence in simulated seconds (default 10e-3;
-                        rounded to the counter-sampling grid)
+                        rounded up to the run's 1 ms window grid)
   --watchdog[=<s>]      arm the stall watchdog (default window 5e-3 virtual
                         seconds): dumps ring + router snapshot to stderr if
                         no packet is delivered for a window while work is
@@ -93,13 +95,11 @@ observability (DESIGN.md "Observability"):
 )";
 }
 
-double num_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) throw std::invalid_argument("missing value");
-  return std::stod(argv[++i]);
-}
-
-std::string str_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) throw std::invalid_argument("missing value");
+std::string str_arg(const std::string& flag, int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    throw std::invalid_argument(
+        ParseError{flag, "flag", "missing value for", ""}.what());
+  }
   return argv[++i];
 }
 
@@ -139,10 +139,15 @@ int main(int argc, char** argv) {
         }
       }
       const auto sval = [&]() -> std::string {
-        return has_inline ? inline_val : str_arg(argc, argv, i);
+        return has_inline ? inline_val : str_arg(a, argc, argv, i);
       };
-      const auto nval = [&]() -> double {
-        return has_inline ? std::stod(inline_val) : num_arg(argc, argv, i);
+      // Numbers parse whole and finite ("4e8x", "nan" and, for a count,
+      // "2.7" exit 2 naming the flag).
+      const auto real = [&] {
+        return parse_number<double>(a, sval()).value_or_throw();
+      };
+      const auto count = [&] {
+        return parse_number<int>(a, sval()).value_or_throw();
       };
       if (a == "--help" || a == "-h") {
         usage();
@@ -154,33 +159,34 @@ int main(int argc, char** argv) {
       } else if (a == "--pattern") {
         sc.synthetic().pattern = sval();
       } else if (a == "--rate") {
-        sc.synthetic().rate_bps = nval();
+        sc.synthetic().rate_bps = real();
       } else if (a == "--duration") {
-        sc.synthetic().duration = nval();
+        sc.synthetic().duration = real();
       } else if (a == "--bursts") {
-        sc.synthetic().bursts = static_cast<int>(nval());
+        sc.synthetic().bursts = count();
       } else if (a == "--burst-len") {
-        sc.synthetic().burst_len = nval();
+        sc.synthetic().burst_len = real();
       } else if (a == "--gap") {
-        sc.synthetic().gap_len = nval();
+        sc.synthetic().gap_len = real();
       } else if (a == "--noise") {
-        sc.synthetic().noise_rate_bps = nval();
+        sc.synthetic().noise_rate_bps = real();
       } else if (a == "--seeds") {
-        seeds = static_cast<int>(nval());
+        seeds = count();
       } else if (a == "--jobs") {
-        set_default_jobs(static_cast<int>(nval()));
+        set_default_jobs(count());
       } else if (a == "--seed") {
-        sc.seed = static_cast<std::uint64_t>(nval());
+        sc.seed = parse_number<std::uint64_t>(a, sval()).value_or_throw();
       } else if (a == "--app") {
         app = sval();
       } else if (a == "--iterations") {
-        scale.iterations = static_cast<int>(nval());
+        scale.iterations = count();
       } else if (a == "--bytes-scale") {
-        scale.bytes_scale = nval();
+        scale.bytes_scale = real();
       } else if (a == "--compute-scale") {
-        scale.compute_scale = nval();
+        scale.compute_scale = real();
       } else if (a == "--sdb-capacity") {
-        sc.prdrb.sdb_capacity = static_cast<std::size_t>(nval());
+        sc.prdrb.sdb_capacity =
+            parse_number<std::size_t>(a, sval()).value_or_throw();
       } else {
         std::cerr << "unknown option: " << a << "\n";
         usage();

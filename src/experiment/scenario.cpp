@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -339,45 +338,65 @@ void fill_common(ScenarioResult& r, const MetricsCollector& m,
   }
 }
 
-/// Run-local observability state created by attach_sinks. Declaration order
-/// is destruction order in reverse: the sampler (whose destructor freezes
-/// the registry's gauges) goes before the fallback registry it may use.
-struct RunProbes {
-  std::unique_ptr<obs::Probe> probe;  // bound to the network
-  std::unique_ptr<obs::CounterRegistry> own_registry;  // sampler-chain driver
-  std::unique_ptr<obs::CounterSampler> sampler;
-  std::unique_ptr<obs::StallWatchdog> watchdog;
+/// Run-local observability state: the probe bound to the network, the
+/// registry's gauges, the stall watchdog, and the periodic work done at
+/// every window boundary of the run. Built after the network and the
+/// policy, destroyed before them.
+class RunProbes {
+ public:
+  /// Binds one probe over the tracer, recorder, scorecard, stream and the
+  /// counter registry's push counters to the network (the policy and the
+  /// CFD reach it from there), registers the gauges and arms the watchdog.
+  RunProbes(Simulator& sim, Network& net, PolicyBundle& b,
+            const ObsSinks& sinks);
 
-  /// End-of-run teardown: watchdog finalize (catches true deadlock — no
-  /// events means the poll chain drained before the window elapsed), dump
-  /// hand-off, scorecard and stream finalize. Must run after
-  /// Simulator::run() and before the network is destroyed.
-  void finalize(const ObsSinks& sinks, SimTime now) {
-    if (watchdog) {
-      watchdog->finalize();
-      if (sinks.watchdog_dump) *sinks.watchdog_dump = watchdog->dump_json();
+  /// Freezes the gauges registered above, which close over the simulator,
+  /// the network and the policy: the caller's registry stays safe to read
+  /// after the run, also when the run throws.
+  ~RunProbes() {
+    if (sinks_.counters) sinks_.counters->freeze_gauges();
+  }
+  RunProbes(const RunProbes&) = delete;
+  RunProbes& operator=(const RunProbes&) = delete;
+
+  /// The work at window boundary `t`: a registry sample at every boundary,
+  /// then, from the second boundary on, the watchdog poll and the stream's
+  /// window roll.
+  void at_boundary(SimTime t) {
+    if (sinks_.counters) sinks_.counters->sample(t);
+    if (t == 0) return;
+    if (watchdog_) watchdog_->poll(t);
+    if (sinks_.stream) sinks_.stream->roll(t);
+  }
+
+  /// End-of-run teardown: watchdog finalize (catches true deadlock: no
+  /// events means the run drained before the window elapsed), dump
+  /// hand-off, scorecard and stream finalize. Runs after the last window.
+  void finalize(SimTime now) {
+    if (watchdog_) {
+      watchdog_->finalize();
+      if (sinks_.watchdog_dump) *sinks_.watchdog_dump = watchdog_->dump_json();
     }
     // Close open multipath intervals and unresolved congestion episodes at
     // the final virtual time so exports never carry dangling state.
-    if (sinks.scorecard) sinks.scorecard->finalize(now);
+    if (sinks_.scorecard) sinks_.scorecard->finalize(now);
     // Emit the trailing "summary" NDJSON line and detach the stream hooks.
-    if (sinks.stream) sinks.stream->finalize(now);
+    if (sinks_.stream) sinks_.stream->finalize(now);
   }
+
+ private:
+  ObsSinks sinks_;
+  std::unique_ptr<obs::Probe> probe_;
+  std::unique_ptr<obs::StallWatchdog> watchdog_;
 };
 
-/// Wires the optional observability sinks into a freshly built run: one
-/// probe over the tracer, recorder, scorecard, stream and the counter
-/// registry's push counters, bound to the network (the policy and the CFD
-/// reach it from there); the registry's gauges; and one periodic sampler
-/// chain that multiplexes counter sampling, the stream's window roll and
-/// the watchdog poll.
-RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
-                       const ObsSinks& sinks) {
-  RunProbes probes;
+RunProbes::RunProbes(Simulator& sim, Network& net, PolicyBundle& b,
+                     const ObsSinks& sinks)
+    : sinks_(sinks) {
   if (sinks.stream) {
-    // Pin the window width to the sampler cadence BEFORE binding so the
-    // roll probe fires at timestamps the chain already visits; snapshots
-    // land every ceil(stream_interval / cadence) windows.
+    // Pin the window width to the boundary cadence BEFORE binding, so every
+    // roll closes exactly one window; snapshots land every
+    // ceil(stream_interval / cadence) windows.
     const SimTime cadence = sinks.sample_interval;
     const double per = sinks.stream_interval / cadence;
     sinks.stream->configure_cadence(
@@ -387,19 +406,14 @@ RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
   }
   if (sinks.tracer || sinks.recorder || sinks.scorecard || sinks.stream ||
       sinks.counters) {
-    probes.probe = std::make_unique<obs::Probe>(obs::Probe::Sinks{
+    probe_ = std::make_unique<obs::Probe>(obs::Probe::Sinks{
         .tracer = sinks.tracer,
         .recorder = sinks.recorder,
         .scorecard = sinks.scorecard,
         .stream = sinks.stream,
         .counters = sinks.counters});
-    net.bind_probe(probes.probe.get());
+    net.bind_probe(probe_.get());
   }
-
-  const bool wants_chain =
-      sinks.counters || sinks.stream || sinks.watchdog_window > 0;
-  if (!wants_chain) return probes;
-
   if (sinks.counters) {
     obs::CounterRegistry& reg = *sinks.counters;
     net.register_gauges(reg);
@@ -438,32 +452,14 @@ RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
     obs::CounterRegistry* regp = &reg;
     count("metrics.timeseries.clamped",
           [regp] { return regp->timeseries_clamped(); });
-  } else {
-    // Stream/watchdog without a caller registry: the sampler chain still
-    // needs a registry to drive, so own an empty one.
-    probes.own_registry = std::make_unique<obs::CounterRegistry>();
   }
-
-  obs::CounterRegistry& chain_reg =
-      sinks.counters ? *sinks.counters : *probes.own_registry;
-  probes.sampler = std::make_unique<obs::CounterSampler>(sim, chain_reg);
   if (sinks.watchdog_window > 0) {
-    probes.watchdog = std::make_unique<obs::StallWatchdog>(
+    watchdog_ = std::make_unique<obs::StallWatchdog>(
         net, sim, sinks.recorder, sinks.watchdog_window);
     if (sinks.watchdog_stream) {
-      probes.watchdog->set_stream(sinks.watchdog_stream);
+      watchdog_->set_stream(sinks.watchdog_stream);
     }
-    obs::StallWatchdog* wd = probes.watchdog.get();
-    probes.sampler->add_probe(sinks.sample_interval,
-                              [wd](SimTime now) { wd->poll(now); });
   }
-  if (sinks.stream) {
-    obs::StreamTelemetry* st = sinks.stream;
-    probes.sampler->add_probe(sinks.sample_interval,
-                              [st](SimTime now) { st->roll(now); });
-  }
-  probes.sampler->start(sinks.sample_interval);
-  return probes;
 }
 
 }  // namespace
@@ -489,7 +485,14 @@ ScenarioResult run_scenario(const std::string& policy_name,
     }
     bundle.engine->db().import_text(in);
   }
-  RunProbes probes = attach_sinks(sim, net, bundle, sc.sinks);
+  RunProbes probes(sim, net, bundle, sc.sinks);
+  // Every run steps through the same window grid, sinks or not, so it ends
+  // on the first boundary after it drains whatever is attached.
+  const auto run = [&] {
+    sim.run_windows(sc.sinks.sample_interval,
+                    [&probes](SimTime t) { probes.at_boundary(t); });
+    probes.finalize(sim.now());
+  };
 
   ScenarioResult r;
   r.policy = policy_name;
@@ -548,16 +551,14 @@ ScenarioResult run_scenario(const std::string& policy_name,
       noise->start();
     }
 
-    sim.run();  // drains: generation stops at w.duration
-    probes.finalize(sc.sinks, sim.now());
+    run();  // drains: generation stops at w.duration
   } else {
     const TraceWorkload& w = sc.trace();
     const TraceProgram prog =
         make_app_trace(w.app, topo->num_nodes(), w.scale);
     TracePlayer player(sim, net, prog);
     player.start();
-    sim.run();
-    probes.finalize(sc.sinks, sim.now());
+    run();
     r.exec_time = player.finished() ? player.execution_time() : -1.0;
   }
 
@@ -620,14 +621,12 @@ Parsed<std::string> parse_output_flag(int argc, char** argv, int& i,
     *path = std::move(value);
     return name;
   }
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      !std::isfinite(v) || !(v > 0)) {
+  const Parsed<double> v = parse_number<double>(name, value);
+  if (!v.ok() || !(v.value() > 0)) {
     return ParseError{value, "flag",
                       name + " needs a positive number of seconds, got", ""};
   }
-  *seconds = v;
+  *seconds = v.value();
   return name;
 }
 

@@ -50,18 +50,22 @@ DrbConfig default_drb_config();
 /// "Observability"), all borrowed: the caller owns each and reads it back
 /// after the run. The run binds them to the network through one obs::Probe,
 /// which every hook site raises its events on. A non-null `counters` also
-/// gets the network/routing/sim gauges, sampled every `sample_interval` of
-/// virtual time and frozen when the run ends, so the registry stays safe to
-/// query and export afterwards.
+/// gets the network/routing/sim gauges, sampled at every window boundary
+/// and frozen when the run ends, so the registry stays safe to query and
+/// export afterwards.
+///
+/// Every run steps through Simulator::run_windows with width
+/// `sample_interval` (finite and > 0, or run_scenario throws), attached or
+/// not: the periodic observers run between events at each boundary, never
+/// as events, so no sink changes the run, and every run ends on the first
+/// boundary after its queue drains.
 ///
 /// Post-mortem sinks: `recorder` rings every control-plane event (CFD,
 /// metapath, SDB, stalls). `watchdog_window > 0` arms a stall watchdog: if
 /// no packet is delivered for that many virtual seconds while work is
 /// pending (or the run ends starved), it dumps ring + router snapshot +
 /// event-queue stats once to `watchdog_stream` (stderr when null) and into
-/// `*watchdog_dump` when given (empty = never fired). All periodic
-/// observers share ONE sampler chain, preserving the chain-termination
-/// protocol.
+/// `*watchdog_dump` when given (empty = never fired).
 struct ObsSinks {
   obs::Tracer* tracer = nullptr;
   obs::CounterRegistry* counters = nullptr;
@@ -71,8 +75,7 @@ struct ObsSinks {
   /// intervals and episodes closed at the final virtual time) at run end.
   obs::Scorecard* scorecard = nullptr;
   /// Per-link streaming telemetry (obs/stream.hpp): its window clock rolls
-  /// on the sampler cadence (one extra probe on the SAME chain: no
-  /// event-count drift vs a counters-only run) and a "prdrb-stream-v1"
+  /// at every window boundary after the first and a "prdrb-stream-v1"
   /// NDJSON snapshot is emitted roughly every `stream_interval` of virtual
   /// time. Finalized (summary line emitted, heatmap closed) at run end, so
   /// the telemetry and heatmap exports are safe to write afterwards.

@@ -1,11 +1,9 @@
 #include "obs/counters.hpp"
 
-#include <algorithm>
 #include <ostream>
 #include <sstream>
 
 #include "obs/json.hpp"
-#include "sim/simulator.hpp"
 
 namespace prdrb::obs {
 
@@ -150,51 +148,6 @@ bool CounterRegistry::write_file(const std::string& path) const {
     write_json(os);
   }
   return write_text_file(path, os.str());
-}
-
-// ---------------------------------------------------------------------------
-
-CounterSampler::CounterSampler(Simulator& sim, CounterRegistry& registry)
-    : sim_(sim), registry_(registry) {}
-
-CounterSampler::~CounterSampler() { registry_.freeze_gauges(); }
-
-void CounterSampler::add_probe(SimTime interval,
-                               std::function<void(SimTime)> fn) {
-  probes_.push_back(Probe{interval, sim_.now() + interval, std::move(fn)});
-}
-
-void CounterSampler::start(SimTime interval) {
-  interval_ = interval;
-  next_sample_ = sim_.now();
-  sim_.schedule_in(0, [this] { tick(); });
-}
-
-void CounterSampler::tick() {
-  const SimTime now = sim_.now();
-  // schedule_at stores the exact double we computed as the next due time,
-  // so these equality-style comparisons are exact, not epsilon games.
-  if (now >= next_sample_) {
-    registry_.sample(now);
-    next_sample_ = now + interval_;
-  }
-  for (Probe& p : probes_) {
-    if (now >= p.next_due) {
-      p.fn(now);
-      p.next_due = now + p.interval;
-    }
-  }
-  reschedule();
-}
-
-void CounterSampler::reschedule() {
-  // Reschedule only while the simulation itself is still generating work;
-  // once it drains, the chain stops so Simulator::run() terminates.
-  if (sim_.idle()) return;
-  SimTime due = interval_ > 0 ? next_sample_ : kTimeInfinity;
-  for (const Probe& p : probes_) due = std::min(due, p.next_due);
-  if (due == kTimeInfinity) return;
-  sim_.schedule_at(due, [this] { tick(); });
 }
 
 }  // namespace prdrb::obs

@@ -4,10 +4,11 @@
 // ("net.link.bytes", "sim.events", ...; see DESIGN.md "Observability" for
 // the naming scheme). Counters are plain accumulators bumped on the hot
 // path behind a single-branch guard; gauges are pull-style probes evaluated
-// only when the registry is sampled. CounterSampler snapshots every metric
-// into a per-metric TimeSeries (the same binned structure behind all the
-// latency-vs-time figures) on a fixed virtual-time cadence, and the whole
-// registry exports as CSV or JSON.
+// only when the registry is sampled. sample() snapshots every metric into a
+// per-metric TimeSeries (the same binned structure behind all the
+// latency-vs-time figures); a scenario run calls it at every window
+// boundary of Simulator::run_windows, and the whole registry exports as CSV
+// or JSON.
 //
 // Registration order is preserved everywhere (iteration, export), so output
 // is deterministic for a deterministic simulation.
@@ -23,10 +24,6 @@
 
 #include "metrics/time_series.hpp"
 #include "util/types.hpp"
-
-namespace prdrb {
-class Simulator;
-}  // namespace prdrb
 
 namespace prdrb::obs {
 
@@ -65,7 +62,8 @@ class CounterRegistry {
   /// Capture every gauge's final value and drop its probe. Gauges usually
   /// close over run-local state (the simulator, the network); freezing at
   /// end of run makes the registry safe to query and export after that
-  /// state is gone. ~CounterSampler() calls this automatically.
+  /// state is gone. run_scenario freezes the gauges it registered when the
+  /// run ends, thrown or not.
   void freeze_gauges();
 
   std::vector<std::string> names() const;  // registration order
@@ -104,47 +102,6 @@ class CounterRegistry {
   std::vector<std::unique_ptr<Metric>> metrics_;  // registration order
   std::unordered_map<std::string, std::size_t> index_;
   std::uint64_t samples_taken_ = 0;
-};
-
-/// Periodic sampling driven by the simulation clock. start() samples at
-/// t = now and then every `interval` for as long as other events keep the
-/// queue alive; when the simulation drains the chain stops rescheduling, so
-/// Simulator::run() still terminates. The sampler's lifetime IS the run:
-/// its destructor freezes the registry's gauges so their run-local probes
-/// are never called after the run's state is destroyed.
-///
-/// Every periodic observer in a run multiplexes onto this ONE event chain:
-/// add_probe() callbacks (stream window roll, watchdog poll) fire on their
-/// own cadence from the same chain as the registry sample. Two independent
-/// self-rescheduling chains would each see the other's pending event in
-/// !sim.idle() and keep each other alive forever after the simulation
-/// drains; a single chain observes only real work and terminates.
-class CounterSampler {
- public:
-  CounterSampler(Simulator& sim, CounterRegistry& registry);
-  ~CounterSampler();
-
-  /// Register a periodic callback (watchdog poll, ...) multiplexed onto the
-  /// sampling chain. Call before start(); interval must be > 0.
-  void add_probe(SimTime interval, std::function<void(SimTime)> fn);
-
-  void start(SimTime interval);
-
- private:
-  struct Probe {
-    SimTime interval;
-    SimTime next_due;
-    std::function<void(SimTime)> fn;
-  };
-
-  void tick();
-  void reschedule();
-
-  Simulator& sim_;
-  CounterRegistry& registry_;
-  SimTime interval_ = 0;
-  SimTime next_sample_ = 0;
-  std::vector<Probe> probes_;
 };
 
 }  // namespace prdrb::obs

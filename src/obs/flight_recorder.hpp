@@ -9,11 +9,11 @@
 // it answers "what was the control plane doing right before things
 // stopped?".
 //
-// StallWatchdog watches virtual-time delivery progress. Polled on the
-// CounterSampler chain, it fires when no packet has been delivered for a
+// StallWatchdog watches virtual-time delivery progress. Polled at the
+// run's window boundaries, it fires when no packet has been delivered for a
 // configurable window while the fabric still holds undelivered work; a
 // finalize() pass catches true deadlocks (a fully blocked network stops
-// generating events, so the poll chain drains before the window elapses).
+// generating events, so the run ends before the window elapses).
 // Either way it dumps exactly once — the ring, a per-router queue snapshot,
 // and event-queue stats — to a stream (stderr by default) and keeps the
 // JSON ("prdrb-flightdump-v1") for file export. The dump contains only
@@ -96,13 +96,14 @@ class StallWatchdog {
   /// silences the stream copy; the JSON stays available via dump_json().
   void set_stream(std::ostream* os) { stream_ = os; }
 
-  /// Progress check; wired as a CounterSampler probe.
+  /// Progress check at virtual time `now`; a scenario run calls it at
+  /// every window boundary after the first.
   void poll(SimTime now);
 
   /// End-of-run check: a truly deadlocked network generates no events, so
-  /// the poll chain drains before `window` elapses — this catches the
-  /// leftover undelivered work. Call after Simulator::run() returns and
-  /// before the network is destroyed.
+  /// the run ends before `window` elapses — this catches the leftover
+  /// undelivered work. Call after the run returns and before the network
+  /// is destroyed.
   void finalize();
 
   bool fired() const { return fired_; }

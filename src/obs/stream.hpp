@@ -17,9 +17,10 @@
 //     busy seconds into an 80-bucket sketch, so snapshots report
 //     p50/p95/p99 utilization without per-link sorting or retention.
 //   * snapshots are emitted as newline-delimited JSON ("prdrb-stream-v1",
-//     one object per line) on the run's single CounterSampler chain, so
-//     traces, counters and event counts are untouched and the stream is
-//     byte-identical across --jobs values.
+//     one object per line) from the window rolls, which run at the window
+//     boundaries of Simulator::run_windows, between events rather than as
+//     events, so traces, counters and event counts are untouched and the
+//     stream is byte-identical across --jobs values.
 //   * every roll also sums each router's busy time in the window it closes
 //     into one row of heatmap pixels (finalize adds the window still open),
 //     so --heatmap-out renders a time x router PGM without retaining
@@ -74,9 +75,9 @@ class Packet;
 namespace prdrb::obs {
 
 struct StreamConfig {
-  /// Width of the finest aggregation window. attach_sinks defaults this to
-  /// the sampler cadence so window rolls piggyback on existing chain
-  /// events (no event-count drift vs a counters-only run).
+  /// Width of the finest aggregation window. A scenario run pins it to
+  /// its window-boundary cadence (ObsSinks::sample_interval), so each roll
+  /// closes exactly one window.
   SimTime window_s = 1e-3;
   /// Fine windows kept exactly per level before the 2:1 rollup kicks in.
   std::size_t ring_windows = 8;
@@ -146,9 +147,9 @@ class StreamTelemetry {
     return link_offset_.empty() ? 0 : link_offset_.size() - 1;
   }
 
-  /// Re-pin the window clock before bind(): attach_sinks aligns the window
-  /// width with the sampler cadence (so rolls piggyback on existing chain
-  /// events) and derives snapshot_every from the --stream-interval flag.
+  /// Re-pin the window clock before bind(): a scenario run aligns the
+  /// window width with its window-boundary cadence and derives
+  /// snapshot_every from the --stream-interval flag.
   void configure_cadence(SimTime window_s, std::size_t snapshot_every) {
     if (window_s > 0) cfg_.window_s = window_s;
     cfg_.snapshot_every = std::max<std::size_t>(snapshot_every, 1);
@@ -171,7 +172,7 @@ class StreamTelemetry {
                         SimTime now);
   void on_metapath_close(NodeId src, NodeId dst, int paths, SimTime now);
 
-  // --- window clock (multiplexed onto the CounterSampler chain) ---
+  // --- window clock (rolled at the run's window boundaries) ---
   /// Close the current window at `now`: fold per-link aggregates into the
   /// rings, update the EWMA onset detector, and emit a snapshot line every
   /// cfg.snapshot_every rolls. Allocation-free once bound.

@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 namespace prdrb {
 
@@ -27,6 +29,21 @@ std::uint64_t Simulator::run_until(SimTime horizon) {
   if (horizon != kTimeInfinity && now_ < horizon) now_ = horizon;
   executed_ += count;
   return count;
+}
+
+std::uint64_t Simulator::run_windows(SimTime width,
+                                     const std::function<void(SimTime)>& at) {
+  // A zero or NaN width would never advance t, so the loop would spin; an
+  // infinite one would call `at` at infinity.
+  if (!(width > 0) || !std::isfinite(width)) {
+    throw std::invalid_argument("run_windows: width must be finite and > 0");
+  }
+  std::uint64_t count = 0;
+  for (SimTime t = 0;; t += width) {
+    count += run_until(t);
+    at(t);
+    if (idle()) return count;
+  }
 }
 
 }  // namespace prdrb

@@ -6,9 +6,12 @@
 // event at a time in (time, scheduling sequence) order; an action that
 // schedules at the current time gets a larger sequence number than every
 // pending event, so it runs after them, still at the current time.
+// run_windows steps that loop on a fixed virtual-time grid, so periodic
+// observers run between events instead of as events of their own.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "sim/event_queue.hpp"
 #include "util/types.hpp"
@@ -33,6 +36,16 @@ class Simulator {
 
   /// Run until the queue drains completely.
   std::uint64_t run() { return run_until(kTimeInfinity); }
+
+  /// Run until the queue drains, stopping at every window boundary
+  /// t = 0, width, width + width, ... (repeated sums, never k * width):
+  /// run_until(t), then `at(t)` with now() == t, before any event stamped
+  /// t. Stops after the `at` call of the first boundary that finds the
+  /// queue empty, so now() ends on a boundary and an idle simulator gets
+  /// exactly the t = 0 call. Returns the number of events executed.
+  /// Throws std::invalid_argument unless `width` is finite and positive.
+  std::uint64_t run_windows(SimTime width,
+                            const std::function<void(SimTime)>& at);
 
   /// True when no live events remain.
   bool idle() const { return queue_.empty(); }

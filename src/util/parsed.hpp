@@ -1,17 +1,21 @@
-// Typed parse results for name-driven factories (policies, topologies).
-// Instead of aborting deep inside a run with a bare
-// std::invalid_argument, a factory returns Parsed<T>: either the value or
-// a ParseError carrying the offending input, what kind of name it was, and
-// the nearest known name as a suggestion — which CLIs surface as
-// "error: unknown policy 'ospf' (did you mean 'drb'?)" with exit code 2.
+// Typed parse results for name-driven factories (policies, topologies)
+// and numeric command-line values. Instead of aborting deep inside a run
+// with a bare std::invalid_argument, a factory returns Parsed<T>: either
+// the value or a ParseError carrying the offending input, what kind of name
+// it was, and the nearest known name as a suggestion — which CLIs surface
+// as "error: unknown policy 'ospf' (did you mean 'drb'?)" with exit code 2.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -69,6 +73,28 @@ class Parsed {
  private:
   std::variant<T, ParseError> v_;
 };
+
+/// The whole of `text` as one value of the arithmetic type T, for the
+/// command-line flag `flag`. A parsable prefix is not enough ("4e8x", or
+/// "2.7" for an integer type), a floating-point value must be finite, and
+/// an integer must fit T; the error names the flag.
+template <typename T>
+Parsed<T> parse_number(std::string_view flag, std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  bool ok = ec == std::errc() && stop == end;
+  const char* want = "an integer";
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(v);
+    want = "a finite number";
+  } else if constexpr (std::is_unsigned_v<T>) {
+    want = "a non-negative integer";
+  }
+  if (ok) return v;
+  return ParseError{std::string(text), "flag",
+                    std::string(flag) + " needs " + want + ", got", ""};
+}
 
 /// Levenshtein edit distance, the classic two-row DP. Inputs here are short
 /// factory names, so the O(|a|*|b|) cost is irrelevant.

@@ -11,7 +11,8 @@
 //     enough to keep every event, scorecard, stream, watchdog), pinned by
 //     their event count and one FNV-1a digest per exported document. Any
 //     change to what a hook forwards, or to where it fires, makes a row
-//     drift.
+//     drift. Each attached run must also equal its bare run, event count
+//     included: sinks observe the run, they never add to it.
 //
 // Either failure lists every drifted row. Re-record (only for a deliberate,
 // attributed behaviour change):
@@ -323,6 +324,8 @@ SinkPins run_with_sinks(const SinkCase& c) {
       ::testing::TempDir() + "golden_sinks_" + c.name + ".sdb";
   sc.sdb_out = sdb_path;
   const ScenarioResult r = run_scenario(c.policy, sc);
+  EXPECT_EQ(run_scenario(c.policy, c.spec), r)
+      << c.name << ": the attached run differs from the bare run";
   // The ring must hold the whole run, or events could fall off unnoticed.
   EXPECT_LE(recorder.recorded(), recorder.capacity()) << c.name;
   EXPECT_EQ(dump.empty(), !c.watchdog) << c.name;

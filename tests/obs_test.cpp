@@ -3,8 +3,9 @@
 //   - obs/tracer: Chrome trace_event document shape, the event limit,
 //     and the determinism contract (two identical seeded runs produce
 //     byte-identical traces)
-//   - obs/counters: register/sample/export round-trip, simulator-driven
-//     sampling that still lets Simulator::run() drain
+//   - obs/counters: register/sample/export round-trip, sampling at a
+//     scenario run's window boundaries, and the end-of-run gauge freeze
+//     (also when the run throws)
 //   - experiment/manifest: schema + per-policy summary arithmetic
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,14 +25,12 @@
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "obs/tracer.hpp"
-#include "sim/simulator.hpp"
 
 namespace prdrb {
 namespace {
 
 using obs::Counter;
 using obs::CounterRegistry;
-using obs::CounterSampler;
 using obs::JsonWriter;
 using obs::Tracer;
 
@@ -250,20 +250,6 @@ TEST(Counters, RegisterSampleExportRoundTrip) {
   EXPECT_NE(json.find("net.link.packets"), std::string::npos);
 }
 
-TEST(Counters, SamplerFollowsSimClockAndLetsTheRunDrain) {
-  Simulator sim;
-  CounterRegistry reg(1e-3);
-  Counter& c = reg.counter("test.events");
-  for (int i = 1; i <= 5; ++i) {
-    sim.schedule_at(i * 1e-3, [&c] { c.increment(); });
-  }
-  CounterSampler sampler(sim, reg);
-  sampler.start(1e-3);
-  sim.run();  // must terminate: the sampler stops when the queue drains
-  EXPECT_GE(reg.samples_taken(), 5u);
-  EXPECT_DOUBLE_EQ(reg.current("test.events"), 5.0);
-}
-
 /// End-of-run freeze contract: when the run finishes, gauges are evaluated
 /// one final time and frozen, so the registry reports end-of-run values
 /// (not the last periodic sample) and stays safe to query after the
@@ -338,6 +324,36 @@ TEST(Counters, ScenarioRunPopulatesRegistry) {
   EXPECT_GT(reg.current("net.link.bytes"), 0.0);
   // Events gauge was sampled up to the end of the run.
   EXPECT_GT(reg.current("sim.events"), 0.0);
+  EXPECT_TRUE(obs::json_valid(reg.to_json()));
+
+  // The samples read the live event count: each boundary sees every event
+  // before it, so the series climbs to the frozen final value.
+  const TimeSeries* events = reg.series("sim.events");
+  ASSERT_NE(events, nullptr);
+  double prev = 0;
+  double last = 0;
+  for (std::size_t i = 0; i < events->bins(); ++i) {
+    if (events->bin_count(i) == 0) continue;
+    EXPECT_GE(events->bin_mean(i), prev) << "bin " << i;
+    prev = last = events->bin_mean(i);
+  }
+  EXPECT_GT(last, 0.0);
+  EXPECT_LE(last, reg.current("sim.events"));
+  EXPECT_EQ(reg.current("sim.events"), static_cast<double>(r.events));
+}
+
+/// A run that throws after its sinks are attached still freezes the gauges
+/// it registered: they close over the run's simulator and network, which
+/// are gone by the time the caller reads the registry.
+TEST(Counters, RegistryReadableAfterRunThrows) {
+  ScenarioSpec sc;
+  sc.topology = "tree-16";
+  sc.synthetic().pattern = "hotspot-cross";  // a mesh layout: throws
+  CounterRegistry reg(sc.bin_width);
+  sc.sinks.counters = &reg;
+  EXPECT_THROW(run_scenario("pr-drb", sc), std::invalid_argument);
+  ASSERT_NE(reg.series("sim.events"), nullptr) << "sinks were not attached";
+  EXPECT_EQ(reg.current("sim.events"), 0.0);
   EXPECT_TRUE(obs::json_valid(reg.to_json()));
 }
 

@@ -2,7 +2,8 @@
 // lockstep against a test-local reference — a std::set of (time, EventId)
 // where cancel erases — under random schedule/cancel/pop sequences, tie-heavy
 // timestamps, and actions that schedule or cancel from inside a dispatch.
-// Also the Parsed<T> typed-error layer the factories return.
+// Also the Parsed<T> typed-error layer the factories and the numeric
+// command-line flags return.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -220,6 +221,28 @@ TEST(Parsed, ErrorCarriesDiagnosticAndThrows) {
   EXPECT_TRUE(good.ok());
   EXPECT_EQ(good.value(), 7);
   EXPECT_EQ(good.value_or_throw(), 7);
+}
+
+TEST(Parsed, ParseNumberTakesOnlyWholeFiniteValues) {
+  EXPECT_EQ(parse_number<double>("--rate", "4e8").value(), 4e8);
+  EXPECT_EQ(parse_number<double>("--duration", "10e-3").value(), 10e-3);
+  EXPECT_EQ(parse_number<double>("--gap", ".5").value(), 0.5);
+  EXPECT_EQ(parse_number<int>("--seeds", "-3").value(), -3);
+  EXPECT_EQ(parse_number<std::uint64_t>("--seed", "18446744073709551615")
+                .value(),
+            18446744073709551615ull);
+
+  const Parsed<double> junk = parse_number<double>("--rate", "4e8x");
+  ASSERT_FALSE(junk.ok());
+  EXPECT_EQ(junk.error().what(), "--rate needs a finite number, got '4e8x'");
+  for (const char* bad : {"", "nan", "inf", "-inf", "1e999", " 1", "3e-3ms"}) {
+    EXPECT_FALSE(parse_number<double>("--duration", bad).ok()) << bad;
+  }
+  for (const char* bad : {"2.7", "1e3", "2x", "99999999999", ""}) {
+    EXPECT_FALSE(parse_number<int>("--seeds", bad).ok()) << bad;
+  }
+  EXPECT_EQ(parse_number<std::uint64_t>("--seed", "-1").error().what(),
+            "--seed needs a non-negative integer, got '-1'");
 }
 
 }  // namespace

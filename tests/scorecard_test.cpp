@@ -5,7 +5,7 @@
 //   - episode state machine: cold (SDB miss) vs warm (SDB hit), false opens,
 //     finalize() closing open state
 //   - attached runs leave ScenarioResults untouched; exports are
-//     byte-identical across repeats
+//     byte-identical across repeats and whatever other sinks are attached
 //   - the delivery fold is allocation-free in steady state (interposer)
 #include <cstdint>
 #include <random>
@@ -18,6 +18,7 @@
 #include "net/packet.hpp"
 #include "obs/json.hpp"
 #include "obs/scorecard.hpp"
+#include "obs/stream.hpp"
 #include "routing/metapath.hpp"
 #include "test_util.hpp"
 
@@ -322,6 +323,40 @@ TEST(ScorecardScenario, ExportIsByteIdenticalAcrossRepeatsAndBackends) {
   const std::string first = run_once();
   EXPECT_EQ(first, run_once()) << "repeat runs must export identically";
   EXPECT_TRUE(obs::json_valid(first));
+}
+
+/// The golden hot spot (tests/golden_test.cpp): mesh-8x8 hotspot-cross, one
+/// 1 ms burst at 1 Gb/s, 2 ms, seed 11.
+ScenarioSpec golden_hotspot_spec() {
+  ScenarioSpec hot;
+  hot.topology = "mesh-8x8";
+  hot.synthetic().pattern = "hotspot-cross";
+  hot.synthetic().rate_bps = 1000e6;
+  hot.synthetic().duration = 2e-3;
+  hot.synthetic().bursts = 1;
+  hot.synthetic().burst_len = 1e-3;
+  hot.seed = 11;
+  return hot;
+}
+
+TEST(Scorecard, EndTimeIndependentOfOtherSinks) {
+  // The scorecard closes its open intervals at the run's end time. Every
+  // run ends on the first window boundary after it drains, so attaching a
+  // stream beside the scorecard must not move a byte of its export.
+  for (const std::string policy : {"pr-drb", "drb", "pr-drb@router"}) {
+    ScenarioSpec alone = golden_hotspot_spec();
+    obs::Scorecard by_itself;
+    alone.sinks.scorecard = &by_itself;
+    run_scenario(policy, alone);
+
+    ScenarioSpec beside = golden_hotspot_spec();
+    obs::Scorecard with_stream;
+    obs::StreamTelemetry stream;
+    beside.sinks.scorecard = &with_stream;
+    beside.sinks.stream = &stream;
+    run_scenario(policy, beside);
+    EXPECT_EQ(by_itself.to_json(), with_stream.to_json()) << policy;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -312,6 +313,88 @@ TEST(Simulator, NaNTimeThrowsAndCorruptsNothing) {
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.now(), 1e-6);
+}
+
+// --- Simulator::run_windows: periodic observers at window boundaries ---
+
+TEST(Simulator, RunWindowsBoundariesAreExactRepeatedSums) {
+  Simulator sim;
+  sim.schedule_at(1.05, [] {});
+  std::vector<SimTime> seen;
+  sim.run_windows(0.1, [&](SimTime t) {
+    EXPECT_EQ(sim.now(), t);
+    seen.push_back(t);
+  });
+  std::vector<SimTime> sums{0.0};
+  while (sums.size() < 12) sums.push_back(sums.back() + 0.1);
+  EXPECT_EQ(seen, sums);
+  // Ten repeated additions of 0.1 fall one ulp short of 1.0, so the grid
+  // is the sums, not the products.
+  EXPECT_NE(seen[10], 10 * 0.1);
+  EXPECT_EQ(sim.now(), sums.back());
+}
+
+TEST(Simulator, RunWindowsCallsAtBeforeEventsStampedOnTheBoundary) {
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.schedule_at(0.5, [&] { order.push_back("event@0.5"); });
+  sim.schedule_at(0.25, [&] {
+    // Scheduled inside the run, unlike event@0.5: the boundary call at 0.5
+    // precedes both, whenever they were scheduled.
+    sim.schedule_at(0.5, [&] { order.push_back("late@0.5"); });
+  });
+  sim.run_windows(0.25, [&](SimTime t) {
+    order.push_back("at@" + std::to_string(t).substr(0, 4));
+  });
+  EXPECT_EQ(order, (std::vector<std::string>{"at@0.00", "at@0.25", "at@0.50",
+                                             "event@0.5", "late@0.5",
+                                             "at@0.75"}));
+}
+
+TEST(Simulator, RunWindowsStopsAtTheFirstBoundaryThatFindsTheQueueEmpty) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(0.3, [&] { ++fired; });
+  std::vector<SimTime> seen;
+  EXPECT_EQ(sim.run_windows(0.25, [&](SimTime t) { seen.push_back(t); }),
+            1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(seen, (std::vector<SimTime>{0, 0.25, 0.5}));
+  EXPECT_EQ(sim.now(), 0.5);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.events_executed(), 1u);
+
+  // An event stamped on a boundary keeps the queue busy at that boundary's
+  // call, so the loop runs one boundary further.
+  Simulator on_grid;
+  on_grid.schedule_at(0.5, [] {});
+  seen.clear();
+  on_grid.run_windows(0.25, [&](SimTime t) { seen.push_back(t); });
+  EXPECT_EQ(seen, (std::vector<SimTime>{0, 0.25, 0.5, 0.75}));
+}
+
+TEST(Simulator, RunWindowsOnAnIdleSimulatorMakesOnlyTheZeroCall) {
+  Simulator sim;
+  std::vector<SimTime> seen;
+  EXPECT_EQ(sim.run_windows(1e-3, [&](SimTime t) { seen.push_back(t); }),
+            0u);
+  EXPECT_EQ(seen, (std::vector<SimTime>{0}));
+  EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(Simulator, RunWindowsRejectsZeroNegativeAndNonFiniteWidths) {
+  for (const SimTime width : {0.0, -1.0, std::nan(""),
+                              std::numeric_limits<double>::infinity()}) {
+    Simulator sim;
+    int fired = 0;
+    int calls = 0;
+    sim.schedule_at(1e-6, [&] { ++fired; });
+    EXPECT_THROW(sim.run_windows(width, [&](SimTime) { ++calls; }),
+                 std::invalid_argument)
+        << width;
+    EXPECT_EQ(calls, 0) << width;
+    EXPECT_EQ(fired, 0) << width;
+  }
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 //   - lead-time matcher: open before onset -> positive lead, onset before
 //     open -> negative, no onset -> no samples, ACKs match their data
 //     flow's opens
-//   - scenario integration: attached runs leave ScenarioResults untouched
-//     (zero event-count drift), NDJSON is byte-identical across repeats
+//   - scenario integration: attached synthetic and trace runs equal bare
+//     runs, event counts included, NDJSON is byte-identical across repeats
 //     and every line parses, per-link totals and the telemetry export
 //     equal the network's own per-port counters, and the hotspot fixture
 //     yields a positive median prediction lead
@@ -343,13 +343,10 @@ ScenarioSpec hotspot_spec() {
 }
 
 TEST(StreamScenario, AttachedRunLeavesResultsUntouched) {
-  // Baseline: the sampler chain is already active (a counter registry
-  // sampled at the stream's cadence). Adding the stream probe must not
-  // move a single event — rolls ride the existing chain ticks.
-  ScenarioSpec base = contended_spec();
-  obs::CounterRegistry reg_base(base.bin_width);
-  base.sinks.counters = &reg_base;
-  const ScenarioResult plain = run_scenario("pr-drb", base);
+  // The stream rolls and the registry samples at the run's window
+  // boundaries, between events: the observed run equals the bare run,
+  // event count included.
+  const ScenarioResult bare = run_scenario("pr-drb", contended_spec());
 
   ScenarioSpec spec = contended_spec();
   obs::CounterRegistry reg(spec.bin_width);
@@ -360,23 +357,36 @@ TEST(StreamScenario, AttachedRunLeavesResultsUntouched) {
   // The headline fields are compared one by one so a drift names the
   // field instead of dumping raw bytes; the defaulted operator== then
   // covers the rest (exact doubles, full series).
-  EXPECT_EQ(plain.events, observed.events) << "stream probe added events";
-  EXPECT_EQ(plain.packets, observed.packets);
-  EXPECT_DOUBLE_EQ(plain.global_latency, observed.global_latency);
-  EXPECT_DOUBLE_EQ(plain.mean_latency, observed.mean_latency);
-  EXPECT_DOUBLE_EQ(plain.delivery_ratio, observed.delivery_ratio);
-  EXPECT_EQ(plain.series, observed.series);
-  EXPECT_EQ(plain, observed);
+  EXPECT_EQ(bare.events, observed.events) << "sinks added events";
+  EXPECT_EQ(bare.packets, observed.packets);
+  EXPECT_DOUBLE_EQ(bare.global_latency, observed.global_latency);
+  EXPECT_DOUBLE_EQ(bare.mean_latency, observed.mean_latency);
+  EXPECT_DOUBLE_EQ(bare.delivery_ratio, observed.delivery_ratio);
+  EXPECT_EQ(bare.series, observed.series);
+  EXPECT_EQ(bare, observed);
   EXPECT_GT(st.windows_rolled(), 0u);
   EXPECT_FALSE(st.bound()) << "run must finalize and unbind the stream";
+}
 
-  // Against a BARE run (no sampler chain at all), only the chain's own
-  // tick events may differ — every physical result stays bit-identical.
-  const ScenarioResult bare = run_scenario("pr-drb", contended_spec());
-  ScenarioResult masked = observed;
-  masked.events = bare.events;
-  EXPECT_EQ(bare, masked)
-      << "sampler chain must observe, never perturb, the simulation";
+TEST(StreamScenario, AttachedTraceRunLeavesResultsUntouched) {
+  // The trace branch of run_scenario (the one prdrb_sim's manifest records
+  // with the sinks attached) steps through the same windows.
+  ScenarioSpec spec;
+  spec.topology = "tree-16";
+  spec.trace().app = "pop";
+  spec.trace().scale.iterations = 2;
+  const ScenarioResult bare = run_scenario("pr-drb", spec);
+
+  obs::CounterRegistry reg(spec.bin_width);
+  StreamTelemetry st;
+  spec.sinks.counters = &reg;
+  spec.sinks.stream = &st;
+  const ScenarioResult observed = run_scenario("pr-drb", spec);
+  EXPECT_GT(bare.exec_time, 0.0);
+  EXPECT_EQ(bare.events, observed.events) << "sinks added events";
+  EXPECT_EQ(bare, observed);
+  EXPECT_GT(st.windows_rolled(), 0u);
+  EXPECT_EQ(reg.current("sim.events"), static_cast<double>(bare.events));
 }
 
 TEST(StreamScenario, NdjsonByteIdenticalAcrossRepeatsAndBackends) {
@@ -415,8 +425,8 @@ TEST(StreamScenario, NdjsonByteIdenticalAcrossRepeatsAndBackends) {
 TEST(StreamScenario, LinkTotalsEqualFullResolutionTelemetry) {
   // The full-resolution reference is the network's own per-port accounting
   // (OutputPort::busy_time, credit_stalls, packets_sent). Small buffers and
-  // an incast make ports stall; the stream rolls on a sampler chain the
-  // way attach_sinks wires it.
+  // an incast make ports stall; the stream rolls at every window boundary
+  // after the first, the way run_scenario wires it.
   NetConfig cfg;
   cfg.buffer_bytes = 8 * 1024;
   auto h = Harness::make<Mesh2D>(cfg, new DeterministicPolicy, 4, 4);
@@ -426,17 +436,13 @@ TEST(StreamScenario, LinkTotalsEqualFullResolutionTelemetry) {
   StreamTelemetry st(scfg);
   obs::Probe probe({.stream = &st});
   h.net->bind_probe(&probe);
-  obs::CounterRegistry reg;
-  {
-    obs::CounterSampler sampler(h.sim, reg);
-    sampler.add_probe(20e-6, [&st](SimTime now) { st.roll(now); });
-    sampler.start(20e-6);
-    for (int i = 0; i < 600; ++i) {
-      const auto src = static_cast<NodeId>(1 + i % 15);
-      h.net->send_message(src, 0, 2048);
-    }
-    h.sim.run();
+  for (int i = 0; i < 600; ++i) {
+    const auto src = static_cast<NodeId>(1 + i % 15);
+    h.net->send_message(src, 0, 2048);
   }
+  h.sim.run_windows(20e-6, [&st](SimTime t) {
+    if (t > 0) st.roll(t);
+  });
   st.finalize(h.sim.now());
 
   // Both fold the same transmit/stall sites in the same order, so the
