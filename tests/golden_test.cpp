@@ -152,6 +152,27 @@ std::vector<GoldenCase> golden_cases() {
 
   // Router-based predictive notification on the thesis hot spot.
   cases.push_back({"mesh8x8-hotspot-cross", "pr-drb@router", hotspot_spec()});
+
+  // The k-ary n-cube family (§2.1.1): a 2D torus, a 3D mesh and a
+  // hypercube, each loaded until DRB opens alternative paths, so the MSP
+  // ring scan is pinned on every grid shape.
+  struct Grid {
+    const char* name;
+    const char* topology;
+    double rate_bps;
+  };
+  for (const Grid& g : {Grid{"torus8x8-uniform", "torus-8x8", 1000e6},
+                        Grid{"mesh4x4x4-uniform", "mesh-4x4x4", 1500e6},
+                        Grid{"cube4-uniform", "cube-4", 2000e6}}) {
+    ScenarioSpec grid;
+    grid.topology = g.topology;
+    grid.synthetic().pattern = "uniform";
+    grid.synthetic().rate_bps = g.rate_bps;
+    grid.synthetic().duration = 1e-3;
+    grid.synthetic().bursts = 0;
+    grid.seed = 11;
+    cases.push_back({g.name, "pr-drb", grid});
+  }
   return cases;
 }
 
