@@ -1,58 +1,31 @@
 // 2D mesh topology (thesis Table 4.2 uses an 8x8 mesh for the hot-spot
 // experiments) with an optional torus (closed-mesh / k-ary n-cube, §2.1.1)
-// variant. One terminal per router; XY dimension-order minimal routing.
-//
-// Torus note: minimal XY routing on a torus has cyclic channel
-// dependencies across the wraparound links; the model's lossless
-// backpressure can therefore deadlock at sustained saturation. The thesis
-// evaluation only uses the open mesh — the torus is provided for
-// experimentation at moderate loads.
+// variant: a 2D view of MeshND, which holds all of the grid code. The type
+// names the 2D grid for what needs x/y coordinates — the hot-spot layouts
+// and the latency-map renderer select it by dynamic_cast.
 #pragma once
 
-#include "net/topology.hpp"
+#include "net/mesh_nd.hpp"
 
 namespace prdrb {
 
-class Mesh2D final : public Topology {
+class Mesh2D final : public MeshND {
  public:
-  /// Output-port numbering at every router.
+  /// Output-port numbering at every router (MeshND's ports 0-3).
   enum Port { kEast = 0, kWest = 1, kNorth = 2, kSouth = 3 };
 
-  Mesh2D(int width, int height, bool wraparound = false);
+  Mesh2D(int width, int height, bool wraparound = false)
+      : MeshND({width, height}, wraparound) {}
 
-  int width() const { return width_; }
-  int height() const { return height_; }
-  bool wraparound() const { return wraparound_; }
+  int width() const { return extent(0); }
+  int height() const { return extent(1); }
 
-  int num_nodes() const override { return width_ * height_; }
-  int num_routers() const override { return width_ * height_; }
-  int radix(RouterId) const override { return 4; }
-  PortTarget neighbor(RouterId r, int port) const override;
-  RouterId node_router(NodeId n) const override { return n; }
-  void minimal_ports(RouterId r, NodeId target,
-                     std::vector<int>& out) const override;
-  int distance(NodeId a, NodeId b) const override;
-  int deterministic_choice(RouterId r, NodeId src, NodeId dst,
-                           int n) const override;
-  void msp_candidates(NodeId src, NodeId dst, int ring,
-                      std::vector<MspCandidate>& out) const override;
-  std::string name() const override;
-
-  int x_of(RouterId r) const { return r % width_; }
-  int y_of(RouterId r) const { return r / width_; }
-  RouterId at(int x, int y) const { return y * width_ + x; }
+  int x_of(RouterId r) const { return coord(r, 0); }
+  int y_of(RouterId r) const { return coord(r, 1); }
+  RouterId at(int x, int y) const { return y * width() + x; }
   bool in_bounds(int x, int y) const {
-    return x >= 0 && x < width_ && y >= 0 && y < height_;
+    return x >= 0 && x < width() && y >= 0 && y < height();
   }
-
- private:
-  /// Signed minimal displacement from `from` to `to` along an axis of
-  /// length `extent` (shorter way around on the torus; ties go positive).
-  int axis_delta(int from, int to, int extent) const;
-
-  int width_;
-  int height_;
-  bool wraparound_;
 };
 
 }  // namespace prdrb

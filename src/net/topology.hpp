@@ -2,10 +2,11 @@
 // routing relation, link classification, and the path-enumeration hooks the
 // routing layer builds on.
 //
-// Concrete topologies: the 2D mesh (hot-spot experiments, Table 4.2), the
-// N-dimensional mesh/torus, the k-ary n-tree fat-tree (permutation and
-// application experiments, Table 4.3), and the (a, g, h, p) dragonfly
-// (net/dragonfly).
+// Concrete topologies: one grid class for the k-ary n-cube family, mesh,
+// torus and hypercube in any number of dimensions (net/mesh_nd; Mesh2D is
+// its 2D view for the hot-spot experiments, Table 4.2), the k-ary n-tree
+// fat-tree (permutation and application experiments, Table 4.3), and the
+// (a, g, h, p) dragonfly (net/dragonfly).
 //
 // Path-enumeration contract (shared by DRB and the UGAL-family baselines):
 //   * minimal_ports / msp_candidates APPEND into caller-owned buffers in a

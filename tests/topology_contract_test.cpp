@@ -51,6 +51,13 @@ const TopoCase kCases[] = {
        return std::unique_ptr<Topology>(
            std::make_unique<MeshND>(std::vector<int>{3, 3, 3}, true));
      }},
+    // Degenerate tori, pinned by DegenerateGrid below.
+    {"Torus6x1", [] {
+       return std::unique_ptr<Topology>(std::make_unique<Mesh2D>(6, 1, true));
+     }},
+    {"Torus2x4", [] {
+       return std::unique_ptr<Topology>(std::make_unique<Mesh2D>(2, 4, true));
+     }},
     {"KAryNTree", [] {
        return std::unique_ptr<Topology>(std::make_unique<KAryNTree>(4, 2));
      }},
@@ -238,6 +245,37 @@ TEST_P(TopologyContract, NonminimalIntermediateIsPureAndNeverAnEndpoint) {
       EXPECT_NE(in, d);
     }
   }
+}
+
+// The MeshND rules on degenerate grid shapes: a dimension of extent 1
+// leaves both of its ports unconnected, and a 2-wide ring never wraps in
+// routing — its two x ports join the same two routers, and the minimal
+// port steps toward the lower coordinate over -x.
+TEST(DegenerateGrid, OneRowTorusLeavesItsYPortsUnconnected) {
+  const Mesh2D t(6, 1, true);
+  for (RouterId r = 0; r < t.num_routers(); ++r) {
+    EXPECT_TRUE(t.neighbor(r, Mesh2D::kEast).valid()) << "r" << r;
+    EXPECT_TRUE(t.neighbor(r, Mesh2D::kWest).valid()) << "r" << r;
+    EXPECT_FALSE(t.neighbor(r, Mesh2D::kNorth).valid()) << "r" << r;
+    EXPECT_FALSE(t.neighbor(r, Mesh2D::kSouth).valid()) << "r" << r;
+  }
+  EXPECT_EQ(t.neighbor(t.at(5, 0), Mesh2D::kEast).router, t.at(0, 0));
+  EXPECT_EQ(t.distance(t.at(0, 0), t.at(5, 0)), 1);
+}
+
+TEST(DegenerateGrid, TwoWideTorusStepsDownOverMinusX) {
+  const Mesh2D t(2, 4, true);
+  EXPECT_EQ(t.neighbor(t.at(1, 0), Mesh2D::kEast),
+            (PortTarget{t.at(0, 0), Mesh2D::kWest}));
+  EXPECT_EQ(t.neighbor(t.at(1, 0), Mesh2D::kWest),
+            (PortTarget{t.at(0, 0), Mesh2D::kEast}));
+  std::vector<int> ports;
+  t.minimal_ports(t.at(1, 0), t.at(0, 0), ports);
+  EXPECT_EQ(ports, std::vector<int>{Mesh2D::kWest});
+  ports.clear();
+  t.minimal_ports(t.at(0, 0), t.at(1, 3), ports);
+  EXPECT_EQ(ports, (std::vector<int>{Mesh2D::kEast, Mesh2D::kSouth}));
+  EXPECT_EQ(t.distance(t.at(0, 0), t.at(1, 3)), 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, TopologyContract,
