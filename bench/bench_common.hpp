@@ -57,9 +57,10 @@ inline constexpr std::array<std::string_view, 11> kProbeFlags{
 /// flags, accumulates every recorded ScenarioResult into a RunManifest and
 /// writes it when main() ends.
 ///
-/// Every bench takes --manifest-out and --no-manifest. The other output
-/// flags are honoured only where the bench acts on them (`honoured`); any
-/// other one, or a malformed value, exits 2 before a simulation starts.
+/// Every bench takes --jobs N (also --jobs=N and -jN), --manifest-out and
+/// --no-manifest. The other output flags are honoured only where the bench
+/// acts on them (`honoured`). Any other argument, or a malformed value,
+/// exits 2 before a simulation starts.
 ///
 /// The instrumented run is a dedicated *probe*: probe_scenario() executes
 /// one scenario serially through run_observed(). Because the probe never
@@ -72,24 +73,17 @@ class BenchMain {
       : name_(std::move(name)),
         manifest_(name_),
         start_(std::chrono::steady_clock::now()) {
-    if (const int jobs = prdrb::parse_jobs_flag(argc, argv)) {
-      prdrb::set_default_jobs(jobs);
-    }
-    // Unknown arguments are skipped: each bench keeps its own extra flags.
     for (int i = 1; i < argc; ++i) {
       const Parsed<std::string> flag =
           parse_output_flag(argc, argv, i, flags_);
-      if (!flag.ok()) {
-        std::cerr << "error: " << flag.error().what() << '\n';
-        std::exit(2);
-      }
+      if (!flag.ok()) reject(flag.error().what());
       const std::string& f = flag.value();
-      if (f.empty() || f == "--manifest-out" || f == "--no-manifest") {
-        continue;
-      }
-      if (std::find(honoured.begin(), honoured.end(), f) == honoured.end()) {
-        std::cerr << "error: " << name_ << " does not support " << f << '\n';
-        std::exit(2);
+      if (f.empty()) {
+        apply_jobs(argc, argv, i);
+      } else if (f != "--manifest-out" && f != "--no-manifest" &&
+                 std::find(honoured.begin(), honoured.end(), f) ==
+                     honoured.end()) {
+        reject(name_ + " does not support " + f);
       }
     }
   }
@@ -144,6 +138,33 @@ class BenchMain {
   }
 
  private:
+  [[noreturn]] static void reject(const std::string& what) {
+    std::cerr << "error: " << what << '\n';
+    std::exit(2);
+  }
+
+  /// argv[i] must be "--jobs N", "--jobs=N" or "-jN"; anything else is an
+  /// unknown argument.
+  static void apply_jobs(int argc, char** argv, int& i) {
+    const std::string_view a = argv[i];
+    std::string_view flag = "--jobs";
+    std::string_view value;
+    if (a == flag && i + 1 < argc) {
+      value = argv[++i];
+    } else if (a.starts_with("--jobs=")) {
+      value = a.substr(7);
+    } else if (a.starts_with("-j") && a.size() > 2) {
+      flag = "-j";
+      value = a.substr(2);
+    } else {
+      reject(a == flag ? "missing value for '--jobs'"
+                       : "unknown option '" + std::string(a) + "'");
+    }
+    const Parsed<int> jobs = prdrb::parse_jobs(flag, value);
+    if (!jobs.ok()) reject(jobs.error().what());
+    prdrb::set_default_jobs(jobs.value());
+  }
+
   std::string name_;
   OutputFlags flags_;
   RunManifest manifest_;

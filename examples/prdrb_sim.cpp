@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
       } else if (a == "--seeds") {
         seeds = count();
       } else if (a == "--jobs") {
-        set_default_jobs(count());
+        set_default_jobs(parse_jobs(a, sval()).value_or_throw());
       } else if (a == "--seed") {
         sc.seed = parse_number<std::uint64_t>(a, sval()).value_or_throw();
       } else if (a == "--app") {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -23,10 +22,8 @@ std::atomic<int> g_default_jobs_override{0};
 
 int env_or_hardware_jobs() {
   if (const char* env = std::getenv("PRDRB_JOBS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) {
-      return static_cast<int>(std::min(v, 1024L));
+    if (const Parsed<int> n = parse_jobs("PRDRB_JOBS", env); n.ok()) {
+      return n.value();
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();
@@ -42,24 +39,11 @@ int default_jobs() {
 
 void set_default_jobs(int n) { g_default_jobs_override.store(std::max(n, 0)); }
 
-int parse_jobs_flag(int argc, char** argv) {
-  auto parse = [](const char* s) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    return (end != s && *end == '\0' && v >= 1)
-               ? static_cast<int>(std::min(v, 1024L))
-               : 0;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--jobs") == 0) {
-      if (i + 1 < argc) return parse(argv[i + 1]);
-      return 0;
-    }
-    if (std::strncmp(a, "--jobs=", 7) == 0) return parse(a + 7);
-    if (std::strncmp(a, "-j", 2) == 0 && a[2] != '\0') return parse(a + 2);
-  }
-  return 0;
+Parsed<int> parse_jobs(std::string_view flag, std::string_view text) {
+  const Parsed<int> n = parse_number<int>(flag, text);
+  if (n.ok() && n.value() >= 1) return std::min(n.value(), 1024);
+  return ParseError{std::string(text), "flag",
+                    std::string(flag) + " needs a positive integer, got", ""};
 }
 
 std::vector<ScenarioResult> run_sweep(const std::vector<SweepJob>& jobs,

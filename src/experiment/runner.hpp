@@ -17,9 +17,11 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "experiment/scenario.hpp"
+#include "util/parsed.hpp"
 
 namespace prdrb {
 
@@ -45,10 +47,11 @@ int default_jobs();
 /// Override default_jobs() for this process (0 resets to env/hardware).
 void set_default_jobs(int n);
 
-/// Scan argv for "--jobs N" / "--jobs=N" / "-jN". Returns the parsed value
-/// (and removes nothing); 0 when absent or malformed. Bench binaries feed
-/// this into set_default_jobs().
-int parse_jobs_flag(int argc, char** argv);
+/// The value `text` of the worker-count flag `flag` ("--jobs", "-j"): a
+/// positive integer, capped at 1024. Junk, zero and negative values are a
+/// ParseError naming the flag. Every front end and PRDRB_JOBS read their
+/// worker count through this.
+Parsed<int> parse_jobs(std::string_view flag, std::string_view text);
 
 /// Execute every job, using up to n_threads concurrent workers
 /// (n_threads == 0 -> default_jobs()). results[i] corresponds to jobs[i];
