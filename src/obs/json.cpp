@@ -141,162 +141,8 @@ JsonWriter& JsonWriter::raw_number_or_string(std::string_view s) {
 }
 
 // ---------------------------------------------------------------------------
-// json_valid: a strict recursive-descent checker.
-
-namespace {
-
-struct Cursor {
-  std::string_view s;
-  std::size_t i = 0;
-  int depth = 0;
-
-  bool eof() const { return i >= s.size(); }
-  char peek() const { return s[i]; }
-  void skip_ws() {
-    while (!eof() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                      s[i] == '\r')) {
-      ++i;
-    }
-  }
-  bool consume(char c) {
-    if (eof() || s[i] != c) return false;
-    ++i;
-    return true;
-  }
-};
-
-bool parse_value(Cursor& c);
-
-bool parse_string(Cursor& c) {
-  if (!c.consume('"')) return false;
-  while (!c.eof()) {
-    const char ch = c.s[c.i++];
-    if (ch == '"') return true;
-    if (static_cast<unsigned char>(ch) < 0x20) return false;
-    if (ch == '\\') {
-      if (c.eof()) return false;
-      const char esc = c.s[c.i++];
-      if (esc == 'u') {
-        for (int k = 0; k < 4; ++k) {
-          if (c.eof() || !std::isxdigit(static_cast<unsigned char>(c.s[c.i]))) {
-            return false;
-          }
-          ++c.i;
-        }
-      } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                 esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-        return false;
-      }
-    }
-  }
-  return false;
-}
-
-bool parse_number(Cursor& c) {
-  const std::size_t start = c.i;
-  c.consume('-');
-  if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek()))) {
-    return false;
-  }
-  while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek()))) ++c.i;
-  if (!c.eof() && c.peek() == '.') {
-    ++c.i;
-    if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      return false;
-    }
-    while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      ++c.i;
-    }
-  }
-  if (!c.eof() && (c.peek() == 'e' || c.peek() == 'E')) {
-    ++c.i;
-    if (!c.eof() && (c.peek() == '+' || c.peek() == '-')) ++c.i;
-    if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      return false;
-    }
-    while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      ++c.i;
-    }
-  }
-  return c.i > start;
-}
-
-bool parse_literal(Cursor& c, std::string_view lit) {
-  if (c.s.substr(c.i, lit.size()) != lit) return false;
-  c.i += lit.size();
-  return true;
-}
-
-bool parse_object(Cursor& c) {
-  if (!c.consume('{')) return false;
-  c.skip_ws();
-  if (c.consume('}')) return true;
-  for (;;) {
-    c.skip_ws();
-    if (!parse_string(c)) return false;
-    c.skip_ws();
-    if (!c.consume(':')) return false;
-    if (!parse_value(c)) return false;
-    c.skip_ws();
-    if (c.consume('}')) return true;
-    if (!c.consume(',')) return false;
-  }
-}
-
-bool parse_array(Cursor& c) {
-  if (!c.consume('[')) return false;
-  c.skip_ws();
-  if (c.consume(']')) return true;
-  for (;;) {
-    if (!parse_value(c)) return false;
-    c.skip_ws();
-    if (c.consume(']')) return true;
-    if (!c.consume(',')) return false;
-  }
-}
-
-bool parse_value(Cursor& c) {
-  if (++c.depth > 512) return false;  // stack-depth guard
-  c.skip_ws();
-  if (c.eof()) return false;
-  bool ok = false;
-  switch (c.peek()) {
-    case '{':
-      ok = parse_object(c);
-      break;
-    case '[':
-      ok = parse_array(c);
-      break;
-    case '"':
-      ok = parse_string(c);
-      break;
-    case 't':
-      ok = parse_literal(c, "true");
-      break;
-    case 'f':
-      ok = parse_literal(c, "false");
-      break;
-    case 'n':
-      ok = parse_literal(c, "null");
-      break;
-    default:
-      ok = parse_number(c);
-  }
-  --c.depth;
-  return ok;
-}
-
-}  // namespace
-
-bool json_valid(std::string_view s) {
-  Cursor c{s};
-  if (!parse_value(c)) return false;
-  c.skip_ws();
-  return c.eof();
-}
-
-// ---------------------------------------------------------------------------
-// JsonValue / json_parse: a value-building twin of the validator above.
+// JsonValue / json_parse: the one JSON grammar (json_valid is json_parse
+// without the value).
 
 JsonValue JsonValue::make_bool(bool v) {
   JsonValue j;
@@ -367,6 +213,61 @@ std::string JsonValue::string_at(std::string_view dotted,
 }
 
 namespace {
+
+struct Cursor {
+  std::string_view s;
+  std::size_t i = 0;
+  int depth = 0;
+
+  bool eof() const { return i >= s.size(); }
+  char peek() const { return s[i]; }
+  void skip_ws() {
+    while (!eof() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
+                      s[i] == '\r')) {
+      ++i;
+    }
+  }
+  bool consume(char c) {
+    if (eof() || s[i] != c) return false;
+    ++i;
+    return true;
+  }
+};
+
+bool parse_number(Cursor& c) {
+  const std::size_t start = c.i;
+  c.consume('-');
+  if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek()))) {
+    return false;
+  }
+  while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek()))) ++c.i;
+  if (!c.eof() && c.peek() == '.') {
+    ++c.i;
+    if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek()))) {
+      return false;
+    }
+    while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek()))) {
+      ++c.i;
+    }
+  }
+  if (!c.eof() && (c.peek() == 'e' || c.peek() == 'E')) {
+    ++c.i;
+    if (!c.eof() && (c.peek() == '+' || c.peek() == '-')) ++c.i;
+    if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek()))) {
+      return false;
+    }
+    while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek()))) {
+      ++c.i;
+    }
+  }
+  return c.i > start;
+}
+
+bool parse_literal(Cursor& c, std::string_view lit) {
+  if (c.s.substr(c.i, lit.size()) != lit) return false;
+  c.i += lit.size();
+  return true;
+}
 
 void append_utf8(std::string& out, std::uint32_t cp) {
   if (cp < 0x80) {
@@ -568,6 +469,8 @@ std::optional<JsonValue> json_parse(std::string_view s) {
   if (!c.eof()) return std::nullopt;
   return v;
 }
+
+bool json_valid(std::string_view s) { return json_parse(s).has_value(); }
 
 bool write_text_file(const std::string& path, std::string_view content) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);

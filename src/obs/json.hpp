@@ -3,10 +3,11 @@
 // Everything the obs subsystem writes (Chrome traces, counter exports, run
 // manifests) goes through JsonWriter so escaping and number formatting are
 // uniform — and, crucially, *deterministic*: the same simulation produces
-// byte-identical output across runs and worker counts. json_valid() is a
-// strict-enough recursive-descent checker used by the tests (and mirrors
-// what `python3 -m json.tool` accepts in CI) without an external parser
-// dependency.
+// byte-identical output across runs and worker counts. json_parse() reads
+// documents back (the report tool, the tests) without an external parser
+// dependency; json_valid() is json_parse() without the value, so both
+// accept one strict grammar (close to what `python3 -m json.tool` accepts
+// in CI).
 #pragma once
 
 #include <cstdint>
@@ -67,7 +68,7 @@ class JsonWriter {
   bool need_comma_ = false;
 };
 
-/// True when `s` is a syntactically valid JSON document.
+/// True when `s` is a valid JSON document: json_parse(s) has a value.
 bool json_valid(std::string_view s);
 
 /// Parsed JSON document node. Object member order is preserved (the obs
@@ -132,9 +133,9 @@ class JsonValue {
   std::vector<Member> object_;
 };
 
-/// Parse a complete JSON document. Returns nullopt on any syntax error
-/// (same grammar json_valid accepts); \uXXXX escapes are decoded to UTF-8,
-/// surrogate pairs included.
+/// Parse a complete JSON document. Returns nullopt on any syntax error, a
+/// lone surrogate escape or a number out of double range; \uXXXX escapes
+/// are decoded to UTF-8, surrogate pairs included.
 std::optional<JsonValue> json_parse(std::string_view s);
 
 /// Write `content` to `path`; returns false (and warns on stderr) on

@@ -92,6 +92,10 @@ TEST(ObsJson, ValidatorRejectsMalformedDocuments) {
   EXPECT_FALSE(obs::json_valid("{\"a\":1,}"));
   EXPECT_FALSE(obs::json_valid("[1 2]"));
   EXPECT_FALSE(obs::json_valid("{\"a\":1} trailing"));
+  // One grammar with json_parse: a lone surrogate escape and a number out
+  // of double range are rejected too.
+  EXPECT_FALSE(obs::json_valid("\"\\ud800\""));
+  EXPECT_FALSE(obs::json_valid("1e999"));
 }
 
 TEST(ObsJson, ParserBuildsNavigableDocuments) {
