@@ -55,42 +55,6 @@ bool PredictiveEngine::predicts_congestion(const Metapath& mp,
 }
 
 // ---------------------------------------------------------------------------
-// Shared zone-reaction logic (Fig. 3.12) for both predictive policies.
-namespace {
-
-template <typename ExpandFn, typename ShrinkFn>
-void predictive_react(PredictiveEngine& engine, obs::Probe* probe,
-                      Metapath& mp, NodeId src, NodeId dst, Zone previous,
-                      Zone current, SimTime now, ExpandFn&& expand,
-                      ShrinkFn&& shrink) {
-  if (current == Zone::kHigh) {
-    if (previous != Zone::kHigh) {
-      // M -> H: congestion detected — first look for an already analyzed
-      // situation; only open paths gradually on a database miss.
-      if (!engine.enter_high(mp, src, dst, now, probe)) expand();
-    } else {
-      // Still congested: continue the gradual opening procedure. If the
-      // installed solution was wrong for this (actually new) pattern, this
-      // is also where PR-DRB "detects that our solution is not good and
-      // starts the standard opening path procedures" (§3.5).
-      expand();
-    }
-    return;
-  }
-  if (previous == Zone::kHigh && current == Zone::kMedium) {
-    // H -> M: good paths found; feed the saved-paths database.
-    engine.calmed(mp, src, dst, now, probe);
-    return;
-  }
-  if (current == Zone::kLow) {
-    mp.installed_since_low = false;  // quiet phase: rearm the predictor
-    shrink();
-  }
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
 // PrDrbPolicy
 
 PrDrbPolicy::PrDrbPolicy(DrbConfig cfg, PrDrbConfig pcfg, std::uint64_t seed)
@@ -98,31 +62,18 @@ PrDrbPolicy::PrDrbPolicy(DrbConfig cfg, PrDrbConfig pcfg, std::uint64_t seed)
 
 void PrDrbPolicy::react(Metapath& mp, NodeId src, NodeId dst, Zone previous,
                         Zone current, SimTime now) {
-  predictive_react(
-      engine_, net_->probe(), mp, src, dst, previous, current, now,
-      [&] { expand(mp, src, dst); }, [&] { shrink(mp, src, dst); });
-  // §5.2 trend extension: while still in the working zone, a rising latency
-  // trend that projects across Threshold_High triggers the High reaction
-  // early (speculative congestion avoidance).
-  if (current == Zone::kMedium && previous != Zone::kHigh &&
-      engine_.predicts_congestion(mp, drb_config().threshold_high)) {
-    engine_.count_trend_trigger();
-    mp.zone = Zone::kHigh;
-    predictive_react(
-        engine_, net_->probe(), mp, src, dst, previous, Zone::kHigh, now,
-        [&] { expand(mp, src, dst); }, [&] { shrink(mp, src, dst); });
-  }
+  engine_.react(
+      mp, src, dst, previous, current, now, drb_config().threshold_high,
+      net_->probe(), [&] { expand(mp, src, dst); },
+      [&] { shrink(mp, src, dst); });
 }
 
 void PrDrbPolicy::on_predictive_ack(Metapath& mp, NodeId src, NodeId dst,
                                     const Packet& /*ack*/, SimTime now) {
   // Early router-based notification: speculatively treat the pair as
   // congested before the metapath latency itself crosses the threshold.
-  const Zone previous = mp.zone;
-  mp.zone = Zone::kHigh;
-  predictive_react(
-      engine_, net_->probe(), mp, src, dst, previous, Zone::kHigh, now,
-      [&] { expand(mp, src, dst); }, [&] { shrink(mp, src, dst); });
+  engine_.force_high(mp, src, dst, now, net_->probe(),
+                     [&] { expand(mp, src, dst); });
 }
 
 // ---------------------------------------------------------------------------
@@ -134,37 +85,24 @@ PrFrDrbPolicy::PrFrDrbPolicy(DrbConfig cfg, FrDrbConfig fr, PrDrbConfig pcfg,
 
 void PrFrDrbPolicy::react(Metapath& mp, NodeId src, NodeId dst, Zone previous,
                           Zone current, SimTime now) {
-  predictive_react(
-      engine_, net_->probe(), mp, src, dst, previous, current, now,
-      [&] { expand(mp, src, dst); }, [&] { shrink(mp, src, dst); });
-  if (current == Zone::kMedium && previous != Zone::kHigh &&
-      engine_.predicts_congestion(mp, drb_config().threshold_high)) {
-    engine_.count_trend_trigger();
-    mp.zone = Zone::kHigh;
-    predictive_react(
-        engine_, net_->probe(), mp, src, dst, previous, Zone::kHigh, now,
-        [&] { expand(mp, src, dst); }, [&] { shrink(mp, src, dst); });
-  }
+  engine_.react(
+      mp, src, dst, previous, current, now, drb_config().threshold_high,
+      net_->probe(), [&] { expand(mp, src, dst); },
+      [&] { shrink(mp, src, dst); });
 }
 
 void PrFrDrbPolicy::on_predictive_ack(Metapath& mp, NodeId src, NodeId dst,
                                       const Packet& /*ack*/, SimTime now) {
-  const Zone previous = mp.zone;
-  mp.zone = Zone::kHigh;
-  predictive_react(
-      engine_, net_->probe(), mp, src, dst, previous, Zone::kHigh, now,
-      [&] { expand(mp, src, dst); }, [&] { shrink(mp, src, dst); });
+  engine_.force_high(mp, src, dst, now, net_->probe(),
+                     [&] { expand(mp, src, dst); });
 }
 
 void PrFrDrbPolicy::on_watchdog(NodeId src, NodeId dst, SimTime now) {
   // Watchdog expiry = congestion without an ACK. Consult the database
   // before falling back to FR-DRB's immediate single-path opening.
   Metapath& mp = metapath(src, dst);
-  const Zone previous = mp.zone;
-  mp.zone = Zone::kHigh;
-  predictive_react(
-      engine_, net_->probe(), mp, src, dst, previous, Zone::kHigh, now,
-      [&] { expand(mp, src, dst); }, [&] { shrink(mp, src, dst); });
+  engine_.force_high(mp, src, dst, now, net_->probe(),
+                     [&] { expand(mp, src, dst); });
 }
 
 }  // namespace prdrb

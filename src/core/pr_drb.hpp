@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "core/cfd.hpp"
 #include "core/solution_db.hpp"
@@ -48,8 +49,9 @@ struct PrDrbConfig {
   SimTime trend_horizon = 200e-6;
 };
 
-/// Shared predictive machinery: the solution database plus the install/save
-/// procedures, reusable by every DRB-family policy.
+/// Shared predictive machinery: the solution database, the install/save
+/// procedures and the zone reaction built on them, reusable by every
+/// DRB-family policy.
 class PredictiveEngine {
  public:
   explicit PredictiveEngine(PrDrbConfig cfg) : cfg_(cfg) {
@@ -73,12 +75,25 @@ class PredictiveEngine {
   /// aggregate will cross `threshold_high` within the configured horizon.
   bool predicts_congestion(const Metapath& mp, SimTime threshold_high) const;
 
+  /// The zone reaction (Fig. 3.12) of a predictive policy whose metapath
+  /// `mp` moved from `previous` to `current`. `expand` and `shrink` are the
+  /// policy's gradual opening and closing steps for this pair.
+  template <typename Expand, typename Shrink>
+  void react(Metapath& mp, NodeId src, NodeId dst, Zone previous,
+             Zone current, SimTime now, SimTime threshold_high,
+             obs::Probe* probe, Expand&& expand, Shrink&& shrink);
+
+  /// Treat the pair as congested now (early router notification, FR-DRB
+  /// watchdog expiry): move `mp` to High and react to the entry.
+  template <typename Expand>
+  void force_high(Metapath& mp, NodeId src, NodeId dst, SimTime now,
+                  obs::Probe* probe, Expand&& expand);
+
   SolutionDatabase& db() { return db_; }
   const SolutionDatabase& db() const { return db_; }
   const PrDrbConfig& config() const { return cfg_; }
   std::uint64_t installs() const { return installs_; }
   std::uint64_t trend_triggers() const { return trend_triggers_; }
-  void count_trend_trigger() { ++trend_triggers_; }
 
  private:
   PrDrbConfig cfg_;
@@ -86,6 +101,49 @@ class PredictiveEngine {
   std::uint64_t installs_ = 0;
   std::uint64_t trend_triggers_ = 0;
 };
+
+template <typename Expand, typename Shrink>
+void PredictiveEngine::react(Metapath& mp, NodeId src, NodeId dst,
+                             Zone previous, Zone current, SimTime now,
+                             SimTime threshold_high, obs::Probe* probe,
+                             Expand&& expand, Shrink&& shrink) {
+  // §5.2 trend extension: while still in the working zone, a rising latency
+  // trend that projects across Threshold_High triggers the High reaction
+  // early (speculative congestion avoidance).
+  if (current == Zone::kMedium && previous != Zone::kHigh &&
+      predicts_congestion(mp, threshold_high)) {
+    ++trend_triggers_;
+    mp.zone = current = Zone::kHigh;
+  }
+  if (current == Zone::kHigh) {
+    // M -> H: congestion detected — first look for an already analyzed
+    // situation; only open paths gradually on a database miss. Still
+    // congested: continue the gradual opening procedure. If the installed
+    // solution was wrong for this (actually new) pattern, this is also where
+    // PR-DRB "detects that our solution is not good and starts the standard
+    // opening path procedures" (§3.5).
+    if (previous == Zone::kHigh || !enter_high(mp, src, dst, now, probe)) {
+      expand();
+    }
+  } else if (previous == Zone::kHigh && current == Zone::kMedium) {
+    // H -> M: good paths found; feed the saved-paths database.
+    calmed(mp, src, dst, now, probe);
+  } else if (current == Zone::kLow) {
+    mp.installed_since_low = false;  // quiet phase: rearm the predictor
+    shrink();
+  }
+}
+
+template <typename Expand>
+void PredictiveEngine::force_high(Metapath& mp, NodeId src, NodeId dst,
+                                  SimTime now, obs::Probe* probe,
+                                  Expand&& expand) {
+  // The High branch of react(), entered from whatever zone `mp` was in.
+  if (std::exchange(mp.zone, Zone::kHigh) == Zone::kHigh ||
+      !enter_high(mp, src, dst, now, probe)) {
+    expand();
+  }
+}
 
 class PrDrbPolicy : public DrbPolicy {
  public:
