@@ -4,9 +4,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 namespace prdrb {
 
@@ -19,6 +21,36 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+// Every regular file in `dir` whose extension is one of `exts`, in sorted
+// path order (directory_iterator order is unspecified), that `parse`
+// accepts. A rejected path goes to `skipped` when one is given.
+template <typename Info>
+std::vector<Info> collect(const std::string& dir,
+                          std::initializer_list<std::string_view> exts,
+                          bool (*parse)(const std::string&, Info&),
+                          std::vector<std::string>* skipped = nullptr) {
+  std::error_code ec;
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string ext = entry.path().extension().string();
+    if (std::find(exts.begin(), exts.end(), ext) == exts.end()) continue;
+    paths.push_back(entry.path().string());
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<Info> out;
+  for (const std::string& p : paths) {
+    Info info;
+    if (parse(read_file(p), info)) {
+      info.path = p;
+      out.push_back(std::move(info));
+    } else if (skipped) {
+      skipped->push_back(p);
+    }
+  }
+  return out;
 }
 
 // Fraction change of `now` relative to `base`; 0 for degenerate baselines.
@@ -155,26 +187,7 @@ bool parse_manifest(const std::string& text, ManifestInfo& out) {
 
 std::vector<ManifestInfo> collect_reports(const std::string& dir,
                                           std::vector<std::string>* skipped) {
-  std::vector<ManifestInfo> out;
-  std::error_code ec;
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    if (entry.path().extension() != ".json") continue;
-    paths.push_back(entry.path().string());
-  }
-  // directory_iterator order is unspecified; sort for deterministic reports.
-  std::sort(paths.begin(), paths.end());
-  for (const std::string& p : paths) {
-    ManifestInfo info;
-    if (parse_manifest(read_file(p), info)) {
-      info.path = p;
-      out.push_back(std::move(info));
-    } else if (skipped) {
-      skipped->push_back(p);
-    }
-  }
-  return out;
+  return collect(dir, {".json"}, parse_manifest, skipped);
 }
 
 bool parse_scorecard(const std::string& text, ScorecardInfo& out) {
@@ -203,23 +216,7 @@ bool parse_scorecard(const std::string& text, ScorecardInfo& out) {
 }
 
 std::vector<ScorecardInfo> collect_scorecards(const std::string& dir) {
-  std::vector<ScorecardInfo> out;
-  std::error_code ec;
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    if (entry.path().extension() != ".json") continue;
-    paths.push_back(entry.path().string());
-  }
-  std::sort(paths.begin(), paths.end());
-  for (const std::string& p : paths) {
-    ScorecardInfo info;
-    if (parse_scorecard(read_file(p), info)) {
-      info.path = p;
-      out.push_back(std::move(info));
-    }
-  }
-  return out;
+  return collect(dir, {".json"}, parse_scorecard);
 }
 
 bool parse_stream(const std::string& text, StreamInfo& out) {
@@ -287,24 +284,7 @@ bool parse_stream(const std::string& text, StreamInfo& out) {
 }
 
 std::vector<StreamInfo> collect_streams(const std::string& dir) {
-  std::vector<StreamInfo> out;
-  std::error_code ec;
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const auto ext = entry.path().extension();
-    if (ext != ".json" && ext != ".ndjson") continue;
-    paths.push_back(entry.path().string());
-  }
-  std::sort(paths.begin(), paths.end());
-  for (const std::string& p : paths) {
-    StreamInfo info;
-    if (parse_stream(read_file(p), info)) {
-      info.path = p;
-      out.push_back(std::move(info));
-    }
-  }
-  return out;
+  return collect(dir, {".json", ".ndjson"}, parse_stream);
 }
 
 void write_markdown_report(std::ostream& os,
