@@ -173,6 +173,19 @@ std::vector<GoldenCase> golden_cases() {
     grid.seed = 11;
     cases.push_back({g.name, "pr-drb", grid});
   }
+
+  // The scale row: perfbench mesh32's short spec, 1024 routers past
+  // saturation, where CFD detects on deep queues and every MSP ring lies
+  // in a large grid.
+  ScenarioSpec mesh32;
+  mesh32.topology = "mesh-32x32";
+  mesh32.synthetic().pattern = "uniform";
+  mesh32.synthetic().rate_bps = 400e6;
+  mesh32.synthetic().duration = 0.05e-3;
+  mesh32.synthetic().bursts = 0;
+  mesh32.seed = 11;
+  mesh32.bin_width = 10e-6;
+  cases.push_back({"mesh32x32-uniform", "pr-drb", mesh32});
   return cases;
 }
 
