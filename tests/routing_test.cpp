@@ -1,8 +1,10 @@
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "net/dragonfly.hpp"
+#include "net/mesh2d.hpp"
 #include "routing/adaptive.hpp"
 #include "routing/drb.hpp"
 #include "routing/fr_drb.hpp"
@@ -288,29 +290,41 @@ TEST_F(DrbFixture, ReExpansionAfterShrinkIsAllocationFree) {
 }
 
 TEST(PathEnumeration, WarmAppendBuffersAreAllocationFree) {
-  Dragonfly df(4, 9, 2, 4);
-  const NodeId src = 5;
-  const NodeId dst = 100;
-  std::vector<int> ports;
-  std::vector<MspCandidate> cands;
-  // Warm pass without clearing sizes each buffer past any single-ring or
-  // single-router enumeration below.
-  for (int ring = 1; ring <= df.g(); ++ring) {
-    df.msp_candidates(src, dst, ring, cands);
+  struct Case {
+    std::unique_ptr<Topology> topo;
+    NodeId src;
+    NodeId dst;
+    int max_ring;  // past the last non-empty ring
+  };
+  Case cases[] = {
+      {std::make_unique<Dragonfly>(4, 9, 2, 4), 5, 100, 9},
+      {std::make_unique<Mesh2D>(32, 32), 33, 700, 64},
+      {std::make_unique<Mesh2D>(8, 8, true), 9, 45, 10},
+  };
+  for (const Case& c : cases) {
+    const Topology& t = *c.topo;
+    std::vector<int> ports;
+    std::vector<MspCandidate> cands;
+    // Warm pass without clearing sizes each buffer past any single-ring or
+    // single-router enumeration below.
+    for (int ring = 1; ring <= c.max_ring; ++ring) {
+      t.msp_candidates(c.src, c.dst, ring, cands);
+    }
+    for (RouterId r = 0; r < t.num_routers(); ++r) {
+      t.minimal_ports(r, c.dst, ports);
+    }
+    test::AllocationScope scope;
+    for (int ring = 1; ring <= c.max_ring; ++ring) {
+      cands.clear();
+      t.msp_candidates(c.src, c.dst, ring, cands);
+    }
+    for (RouterId r = 0; r < t.num_routers(); ++r) {
+      ports.clear();
+      t.minimal_ports(r, c.dst, ports);
+    }
+    EXPECT_EQ(scope.count(), 0u)
+        << t.name() << ": append-style enumeration must not allocate";
   }
-  for (RouterId r = 0; r < df.num_routers(); ++r) {
-    df.minimal_ports(r, dst, ports);
-  }
-  test::AllocationScope scope;
-  for (int ring = 1; ring <= df.g(); ++ring) {
-    cands.clear();
-    df.msp_candidates(src, dst, ring, cands);
-  }
-  for (RouterId r = 0; r < df.num_routers(); ++r) {
-    ports.clear();
-    df.minimal_ports(r, dst, ports);
-  }
-  EXPECT_EQ(scope.count(), 0u) << "append-style enumeration must not allocate";
 }
 
 TEST(Ugal, InjectionDecisionIsAllocationFree) {
