@@ -9,39 +9,38 @@ namespace prdrb {
 
 CongestionDetector::CongestionDetector(NotificationMode mode) : mode_(mode) {}
 
-void CongestionDetector::select_contenders(
-    const Packet& head, const std::deque<Packet*>& queue, int max_flows,
-    std::vector<ContendingFlow>& out) {
+void CongestionDetector::select_contenders(const Packet& head,
+                                           const std::deque<Packet*>& queue,
+                                           int max_flows) {
   // Accumulate queued bytes per flow: the "average of occupation of every
-  // unique source" heuristic of §3.2.2, realized as byte shares.
-  struct Share {
-    ContendingFlow flow;
-    std::int64_t bytes = 0;
-  };
-  std::vector<Share> shares;
+  // unique source" heuristic of §3.2.2, realized as byte shares, in order of
+  // first appearance, head first.
+  shares_.clear();
   auto account = [&](const Packet& p) {
     if (p.is_ack()) return;
     const ContendingFlow f{p.source, p.destination};
-    for (Share& s : shares) {
+    for (Share& s : shares_) {
       if (s.flow == f) {
         s.bytes += p.size_bytes;
         return;
       }
     }
-    shares.push_back(Share{f, p.size_bytes});
+    shares_.push_back(Share{f, p.size_bytes, shares_.size()});
   };
   account(head);
   for (const Packet* p : queue) account(*p);
 
-  std::stable_sort(shares.begin(), shares.end(),
-                   [](const Share& a, const Share& b) {
-                     return a.bytes > b.bytes;
-                   });
-  out.clear();
-  for (const Share& s : shares) {
-    if (static_cast<int>(out.size()) >= max_flows) break;
-    out.push_back(s.flow);
-  }
+  // The largest shares first, ties to the earlier appearance. That order is
+  // total, so partial_sort's prefix is the one a stable sort by bytes gives.
+  const auto top = shares_.begin() + static_cast<long>(std::min(
+      shares_.size(), static_cast<std::size_t>(std::max(max_flows, 0))));
+  std::partial_sort(shares_.begin(), top, shares_.end(),
+                    [](const Share& a, const Share& b) {
+                      if (a.bytes != b.bytes) return a.bytes > b.bytes;
+                      return a.first < b.first;
+                    });
+  flows_.clear();
+  for (auto s = shares_.begin(); s != top; ++s) flows_.push_back(s->flow);
 }
 
 void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
@@ -52,18 +51,17 @@ void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
   if (wait < cfg.router_contention_threshold_s) return;
   ++detections_;
 
-  static thread_local std::vector<ContendingFlow> flows;
-  select_contenders(head, queue, cfg.max_contending_flows, flows);
+  select_contenders(head, queue, cfg.max_contending_flows);
   const SimTime now = net.simulator().now();
   obs::Probe* probe = net.probe();
-  if (probe) probe->congestion(r, port, wait, flows.size(), now);
-  if (flows.empty()) return;
+  if (probe) probe->congestion(r, port, wait, flows_.size(), now);
+  if (flows_.empty()) return;
 
   if (mode_ == NotificationMode::kDestinationBased) {
     // Fill the predictive header of the transiting packet; the destination
     // copies it into the ACK (§3.2.2).
     head.congested_router = r;
-    for (const ContendingFlow& f : flows) {
+    for (const ContendingFlow& f : flows_) {
       if (append_flow(head.contending, f, cfg.max_contending_flows) ==
           FlowAppend::kCapped) {
         ++truncated_flows_;
@@ -77,7 +75,7 @@ void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
   // (GPA module). The P bit tells the destination the flows were already
   // reported, so its ACK carries only the latency (§3.4.2).
   head.predictive_bit = true;
-  for (const ContendingFlow& f : flows) {
+  for (const ContendingFlow& f : flows_) {
     const std::uint64_t k =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
         static_cast<std::uint32_t>(f.src);
@@ -95,7 +93,7 @@ void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
     ack.size_bytes = cfg.ack_bytes;
     ack.reported_latency = wait;
     ack.congested_router = r;
-    ack.contending.assign(flows.begin(), flows.end());
+    ack.contending.assign(flows_.begin(), flows_.end());
     net.inject_at_router(r, std::move(ack));
     ++predictive_acks_;
     if (probe) probe->predictive_ack(r, f.src, now);

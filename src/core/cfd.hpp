@@ -48,12 +48,21 @@ class CongestionDetector final : public RouterMonitor {
   std::uint64_t truncated_flows() const { return truncated_flows_; }
 
  private:
-  /// Pick the top-contributing flows in the queue (by queued bytes).
+  /// Pick the top-contributing flows in the queue (by queued bytes) into
+  /// flows_.
   void select_contenders(const Packet& head,
-                         const std::deque<Packet*>& queue, int max_flows,
-                         std::vector<ContendingFlow>& out);
+                         const std::deque<Packet*>& queue, int max_flows);
+
+  struct Share {
+    ContendingFlow flow;
+    std::int64_t bytes = 0;
+    std::size_t first = 0;  // order of first appearance in the queue
+  };
 
   NotificationMode mode_;
+  // Scratch reused by every detection, so a warm detector allocates nothing.
+  std::vector<Share> shares_;
+  std::vector<ContendingFlow> flows_;
   SimTime cooldown_ = 5e-6;
   // (router, source) -> last predictive-ACK injection time.
   std::unordered_map<std::uint64_t, SimTime> last_notify_;

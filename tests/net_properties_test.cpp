@@ -1,5 +1,7 @@
 // Property-style tests of the network timing model and the CFD selection
 // logic, parameterized over distances, sizes and configurations.
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/cfd.hpp"
@@ -246,6 +248,96 @@ TEST(Cfd, MaxContendingFlowsRespected) {
   head.size_bytes = 1024;
   cfd.on_transmit(net, 0, 0, head, 5e-6, queue);
   EXPECT_LE(head.contending.size(), 3u);
+}
+
+// A destination-based detector on an 8x8 mesh that flags every departure,
+// and the queue it sees: one packet per (source, bytes) entry, all bound
+// for node 63.
+struct CfdRig {
+  explicit CfdRig(int max_flows) {
+    cfg.router_contention_threshold_s = 1e-6;
+    cfg.max_contending_flows = max_flows;
+    net = std::make_unique<Network>(sim, mesh, cfg, pol);
+  }
+
+  void fill(std::initializer_list<std::pair<NodeId, std::int32_t>> packets) {
+    backing.clear();
+    backing.reserve(packets.size());
+    for (const auto& [src, bytes] : packets) {
+      Packet p;
+      p.source = src;
+      p.destination = 63;
+      p.size_bytes = bytes;
+      backing.push_back(p);
+    }
+    queue.clear();
+    for (Packet& p : backing) queue.push_back(&p);
+  }
+
+  /// The contending flows a head from `src` carries after one detection,
+  /// as source ids.
+  std::vector<NodeId> detect(NodeId src) {
+    Packet head;
+    head.source = src;
+    head.destination = 63;
+    head.size_bytes = 1024;
+    cfd.on_transmit(*net, 0, 0, head, 5e-6, queue);
+    std::vector<NodeId> sources;
+    for (const ContendingFlow& f : head.contending) sources.push_back(f.src);
+    return sources;
+  }
+
+  Simulator sim;
+  Mesh2D mesh{8, 8};
+  NetConfig cfg;
+  DeterministicPolicy pol;
+  std::unique_ptr<Network> net;
+  CongestionDetector cfd{NotificationMode::kDestinationBased};
+  std::vector<Packet> backing;
+  std::deque<Packet*> queue;
+};
+
+TEST(Cfd, EqualSharesKeepFirstAppearanceHeadFirst) {
+  // Below the cap: every flow is reported, equal shares in the order they
+  // first appear, the head's own flow first.
+  CfdRig below(8);
+  below.fill({{3, 1024}, {1, 1024}, {2, 1024}});
+  EXPECT_EQ(below.detect(20), (std::vector<NodeId>{20, 3, 1, 2}));
+  // Larger shares go first; within each size the earlier appearance wins.
+  below.fill({{3, 1024}, {1, 2048}, {2, 1024}, {3, 1024}});
+  EXPECT_EQ(below.detect(20), (std::vector<NodeId>{3, 1, 20, 2}));
+
+  // Above the cap: the same order, cut to max_contending_flows.
+  CfdRig above(3);
+  above.fill({{5, 1024}, {4, 1024}, {9, 1024}, {8, 1024}, {7, 1024}});
+  EXPECT_EQ(above.detect(20), (std::vector<NodeId>{20, 5, 4}));
+  above.fill({{5, 1024}, {4, 1024}, {9, 1024}, {8, 512}, {8, 512},
+              {7, 2048}, {4, 1024}});
+  EXPECT_EQ(above.detect(20), (std::vector<NodeId>{4, 7, 20}));
+}
+
+TEST(Cfd, WarmDestinationBasedDetectionIsAllocationFree) {
+  // Twelve packets from six flows: the detector's scratch is sized by the
+  // first detection, so every later one allocates nothing.
+  CfdRig rig(8);
+  rig.fill({{1, 1024}, {2, 512}, {3, 1024}, {1, 1024}, {4, 256},
+            {5, 1024}, {2, 512}, {6, 2048}, {3, 1024}, {1, 512},
+            {5, 1024}, {4, 256}});
+  Packet heads[4];
+  for (Packet& h : heads) {
+    h.source = 20;
+    h.destination = 63;
+    h.size_bytes = 1024;
+  }
+  Packet warm = heads[0];
+  rig.cfd.on_transmit(*rig.net, 0, 0, warm, 5e-6, rig.queue);
+  test::AllocationScope scope;
+  for (Packet& h : heads) {
+    rig.cfd.on_transmit(*rig.net, 0, 0, h, 5e-6, rig.queue);
+  }
+  EXPECT_EQ(scope.count(), 0u) << "a warm CFD detection must not allocate";
+  EXPECT_EQ(heads[3].contending.size(), 7u);
+  EXPECT_EQ(rig.cfd.detections(), 5u);
 }
 
 // ---------------------------------------------------------------------------
