@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -48,6 +49,9 @@ const std::vector<std::string_view> kPolicyNames{
 const std::vector<std::string_view> kTopologyNames{
     "mesh-8x8", "torus-8x8", "cube-4",   "tree-16",  "tree-32",
     "tree-64",  "tree-256",  "kary-4-3", "dragonfly-4:9:2:4"};
+
+/// The largest grid: 2^20 routers, what cube-20 builds.
+constexpr std::int64_t kMaxGridRouters = std::int64_t{1} << 20;
 
 /// Strict non-negative integer parse for topology extents (std::stoi would
 /// throw, which is exactly what the Parsed contract removes).
@@ -178,6 +182,16 @@ Parsed<std::unique_ptr<Topology>> make_topology(const std::string& name) {
   auto build_grid = [&](std::size_t prefix, bool wrap) -> Result {
     const auto dims = parse_extents(prefix);
     if (!dims) return topology_error(name, "bad topology extents");
+    // Counted in 64 bits and stopped past the cap, so no product of
+    // six-digit extents overflows.
+    std::int64_t routers = 1;
+    for (const int e : *dims) {
+      routers *= e;
+      if (routers > kMaxGridRouters) break;
+    }
+    if (routers < 2 || routers > kMaxGridRouters) {
+      return topology_error(name, "grid needs 2 to 1048576 routers");
+    }
     if (dims->size() == 2) {
       return std::unique_ptr<Topology>(
           std::make_unique<Mesh2D>((*dims)[0], (*dims)[1], wrap));
