@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <initializer_list>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
-#include <string_view>
 
 namespace prdrb {
 
@@ -16,47 +13,20 @@ namespace {
 
 using obs::JsonValue;
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-// Every regular file in `dir` whose extension is one of `exts`, in sorted
-// path order (directory_iterator order is unspecified), that `parse`
-// accepts. A rejected path goes to `skipped` when one is given.
-template <typename Info>
-std::vector<Info> collect(const std::string& dir,
-                          std::initializer_list<std::string_view> exts,
-                          bool (*parse)(const std::string&, Info&),
-                          std::vector<std::string>* skipped = nullptr) {
-  std::error_code ec;
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (std::find(exts.begin(), exts.end(), ext) == exts.end()) continue;
-    paths.push_back(entry.path().string());
-  }
-  std::sort(paths.begin(), paths.end());
-  std::vector<Info> out;
-  for (const std::string& p : paths) {
-    Info info;
-    if (parse(read_file(p), info)) {
-      info.path = p;
-      out.push_back(std::move(info));
-    } else if (skipped) {
-      skipped->push_back(p);
-    }
-  }
-  return out;
-}
+constexpr std::string_view kManifestSchema = "prdrb-manifest-v1";
+constexpr std::string_view kBaselineSchema = "prdrb-bench-baseline-v1";
+constexpr std::string_view kScorecardSchema = "prdrb-scorecard-v1";
+constexpr std::string_view kStreamSchema = "prdrb-stream-v1";
 
 // Fraction change of `now` relative to `base`; 0 for degenerate baselines.
 double rel(double base, double now) {
   if (!(base > 0) || !std::isfinite(base) || !std::isfinite(now)) return 0;
   return (now - base) / base;
+}
+
+// A count as its integer digits.
+std::string count(double v) {
+  return std::to_string(static_cast<std::uint64_t>(v));
 }
 
 std::string pct(double fraction) {
@@ -65,111 +35,18 @@ std::string pct(double fraction) {
   return os.str();
 }
 
-// The two accepted schemas flatten to the same summary for checking.
-struct CheckDoc {
-  std::string schema;
-  double events = 0;
-  double events_per_sec = 0;
-  bool has_rate = false;
-  struct Policy {
-    std::string name;
-    double mean_latency_us = 0;
-    double delivery_ratio = 0;
-    double packets = 0;
-  };
-  std::vector<Policy> policies;
-  // Optional solution-database lookup microbench section (bench-baseline
-  // docs): linear-scan vs prefix-index per-lookup latency over one large
-  // bucket, plus the minimum speedup the index must keep delivering.
-  struct SdbLookup {
-    bool present = false;
-    double linear_ns = 0;
-    double indexed_ns = 0;
-    double min_speedup = 0;  // gate: linear_ns / indexed_ns must stay >= this
-  };
-  SdbLookup sdb_lookup;
-  // Predictive-scorecard section (scorecard docs): did the SDB fire at all?
-  struct Sdb {
-    bool present = false;
-    double hits = 0;
-    double misses = 0;
-    double deliveries = 0;
-  };
-  Sdb sdb;
-  // Streaming-telemetry section (stream summary docs): the prediction
-  // lead-time verdict. A positive data-class median means metapaths were
-  // typically opened BEFORE the matched congestion onset.
-  struct Stream {
-    bool present = false;
-    double lead_median_s = 0;  // signed data-class median lead
-    double lead_pos = 0;
-    double lead_neg = 0;
-    double onsets = 0;
-    double opens_predictive = 0;
-  };
-  Stream stream;
-};
+// --- one reader per schema; each returns nullopt on another schema ---
 
-bool flatten(const JsonValue& doc, CheckDoc& out) {
-  out.schema = doc.string_at("schema");
-  if (out.schema == "prdrb-manifest-v1") {
-    out.events = doc.number_at("events");
-    out.events_per_sec = doc.number_at("events_per_sec");
-    out.has_rate = out.events_per_sec > 0;
-    if (const JsonValue* pols = doc.find("policies"); pols && pols->is_array()) {
-      for (const JsonValue& p : pols->items()) {
-        out.policies.push_back({p.string_at("policy"),
-                                p.number_at("mean_latency_us"),
-                                p.number_at("delivery_ratio"),
-                                p.number_at("packets")});
-      }
-    }
-    return true;
-  }
-  if (out.schema == "prdrb-bench-baseline-v1") {
-    out.events = doc.number_at("end_to_end.events");
-    out.events_per_sec = doc.number_at("end_to_end.after.events_per_sec");
-    out.has_rate = out.events_per_sec > 0;
-    if (const JsonValue* sdb = doc.find("sdb_lookup")) {
-      out.sdb_lookup.present = true;
-      out.sdb_lookup.linear_ns = sdb->number_at("linear_ns");
-      out.sdb_lookup.indexed_ns = sdb->number_at("indexed_ns");
-      out.sdb_lookup.min_speedup = sdb->number_at("min_speedup");
-    }
-    return true;
-  }
-  if (out.schema == "prdrb-scorecard-v1") {
-    out.sdb.present = true;
-    out.sdb.hits = doc.number_at("sdb.hits");
-    out.sdb.misses = doc.number_at("sdb.misses");
-    out.sdb.deliveries = doc.number_at("deliveries");
-    return true;
-  }
-  if (out.schema == "prdrb-stream-v1") {
-    out.stream.present = true;
-    out.stream.lead_median_s = doc.number_at("lead.data.median_s");
-    out.stream.lead_pos = doc.number_at("lead.data.pos");
-    out.stream.lead_neg = doc.number_at("lead.data.neg");
-    out.stream.onsets = doc.number_at("onsets_total");
-    out.stream.opens_predictive = doc.number_at("opens.predictive");
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool parse_manifest(const std::string& text, ManifestInfo& out) {
-  std::optional<JsonValue> doc = obs::json_parse(text);
-  if (!doc || doc->string_at("schema") != "prdrb-manifest-v1") return false;
-  out.tool = doc->string_at("tool");
-  out.seed = static_cast<std::uint64_t>(doc->number_at("seed"));
-  out.jobs = static_cast<int>(doc->number_at("jobs", 1));
-  out.wall_s = doc->number_at("wall_s");
-  out.events = doc->number_at("events");
-  out.events_per_sec = doc->number_at("events_per_sec");
-  out.policies.clear();
-  if (const JsonValue* pols = doc->find("policies"); pols && pols->is_array()) {
+std::optional<ManifestInfo> read_manifest(const JsonValue& doc) {
+  if (doc.string_at("schema") != kManifestSchema) return std::nullopt;
+  ManifestInfo out;
+  out.tool = doc.string_at("tool");
+  out.seed = static_cast<std::uint64_t>(doc.number_at("seed"));
+  out.jobs = static_cast<int>(doc.number_at("jobs", 1));
+  out.wall_s = doc.number_at("wall_s");
+  out.events = doc.number_at("events");
+  out.events_per_sec = doc.number_at("events_per_sec");
+  if (const JsonValue* pols = doc.find("policies"); pols && pols->is_array()) {
     for (const JsonValue& p : pols->items()) {
       ManifestInfo::Policy pol;
       pol.name = p.string_at("policy");
@@ -182,93 +59,93 @@ bool parse_manifest(const std::string& text, ManifestInfo& out) {
       out.policies.push_back(std::move(pol));
     }
   }
-  return true;
+  return out;
 }
 
-std::vector<ManifestInfo> collect_reports(const std::string& dir,
-                                          std::vector<std::string>* skipped) {
-  return collect(dir, {".json"}, parse_manifest, skipped);
-}
+// The committed bench baseline, which only --check reads: its end-to-end
+// totals and an optional solution-database lookup microbench section
+// (linear-scan vs prefix-index per-lookup latency over one large bucket,
+// plus the minimum speedup the index must keep delivering).
+struct BaselineInfo {
+  double events = 0;
+  double events_per_sec = 0;
+  struct SdbLookup {
+    double linear_ns = 0;
+    double indexed_ns = 0;
+    double min_speedup = 0;  // gate: linear_ns / indexed_ns must stay >= this
+  };
+  std::optional<SdbLookup> sdb_lookup;
+};
 
-bool parse_scorecard(const std::string& text, ScorecardInfo& out) {
-  std::optional<JsonValue> doc = obs::json_parse(text);
-  if (!doc || doc->string_at("schema") != "prdrb-scorecard-v1") return false;
-  out.deliveries = doc->number_at("deliveries");
-  out.sdb_hits = doc->number_at("sdb.hits");
-  out.sdb_misses = doc->number_at("sdb.misses");
-  out.sdb_saves = doc->number_at("sdb.saves");
-  out.sdb_empty_probes = doc->number_at("sdb.empty_probes");
-  out.opens = doc->number_at("ledger.opens");
-  out.closes = doc->number_at("ledger.closes");
-  out.multipath_s = doc->number_at("ledger.multipath_s");
-  out.flows = doc->number_at("ledger.flows");
-  out.cold.count = doc->number_at("episodes.cold.count");
-  out.cold.mean_duration_us = doc->number_at("episodes.cold.mean_duration_us");
-  out.cold.mean_latency_us = doc->number_at("episodes.cold.mean_latency_us");
-  out.warm.count = doc->number_at("episodes.warm.count");
-  out.warm.mean_duration_us = doc->number_at("episodes.warm.mean_duration_us");
-  out.warm.mean_latency_us = doc->number_at("episodes.warm.mean_latency_us");
-  out.false_opens = doc->number_at("episodes.false_opens");
-  out.false_open_rate = doc->number_at("episodes.false_open_rate");
-  out.hit_efficacy_pct = doc->number_at("episodes.hit_efficacy_pct");
-  out.convergence_ratio = doc->number_at("episodes.convergence_ratio");
-  return true;
-}
-
-std::vector<ScorecardInfo> collect_scorecards(const std::string& dir) {
-  return collect(dir, {".json"}, parse_scorecard);
-}
-
-bool parse_stream(const std::string& text, StreamInfo& out) {
-  out.lines = 0;
-  out.bad_lines = 0;
-  std::optional<JsonValue> last;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string_view line(text.data() + pos, nl - pos);
-    pos = nl + 1;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-    // Per-line tolerance: an interrupted writer leaves at most one torn
-    // trailing line in an append-only stream, and a reader must not lose
-    // the intact prefix over it.
-    std::optional<JsonValue> doc = obs::json_parse(std::string(line));
-    if (!doc || doc->string_at("schema") != "prdrb-stream-v1") {
-      ++out.bad_lines;
-      continue;
-    }
-    ++out.lines;
-    last = std::move(doc);
+std::optional<BaselineInfo> read_baseline(const JsonValue& doc) {
+  if (doc.string_at("schema") != kBaselineSchema) return std::nullopt;
+  BaselineInfo out;
+  out.events = doc.number_at("end_to_end.events");
+  out.events_per_sec = doc.number_at("end_to_end.after.events_per_sec");
+  if (const JsonValue* sdb = doc.find("sdb_lookup")) {
+    out.sdb_lookup = BaselineInfo::SdbLookup{sdb->number_at("linear_ns"),
+                                             sdb->number_at("indexed_ns"),
+                                             sdb->number_at("min_speedup")};
   }
-  if (!last) return false;
-  out.t = last->number_at("t");
-  out.window_s = last->number_at("window_s");
-  out.windows = last->number_at("windows");
-  out.links = last->number_at("links");
-  out.busy_s = last->number_at("busy_s");
-  out.stalls = last->number_at("stalls");
-  out.packets = last->number_at("packets");
-  out.util_p50 = last->number_at("util.p50");
-  out.util_p95 = last->number_at("util.p95");
-  out.util_p99 = last->number_at("util.p99");
-  out.util_max = last->number_at("util.max");
+  return out;
+}
+
+std::optional<ScorecardInfo> read_scorecard(const JsonValue& doc) {
+  if (doc.string_at("schema") != kScorecardSchema) return std::nullopt;
+  ScorecardInfo out;
+  out.deliveries = doc.number_at("deliveries");
+  out.sdb_hits = doc.number_at("sdb.hits");
+  out.sdb_misses = doc.number_at("sdb.misses");
+  out.sdb_saves = doc.number_at("sdb.saves");
+  out.sdb_empty_probes = doc.number_at("sdb.empty_probes");
+  out.opens = doc.number_at("ledger.opens");
+  out.closes = doc.number_at("ledger.closes");
+  out.multipath_s = doc.number_at("ledger.multipath_s");
+  out.flows = doc.number_at("ledger.flows");
+  out.cold.count = doc.number_at("episodes.cold.count");
+  out.cold.mean_duration_us = doc.number_at("episodes.cold.mean_duration_us");
+  out.cold.mean_latency_us = doc.number_at("episodes.cold.mean_latency_us");
+  out.warm.count = doc.number_at("episodes.warm.count");
+  out.warm.mean_duration_us = doc.number_at("episodes.warm.mean_duration_us");
+  out.warm.mean_latency_us = doc.number_at("episodes.warm.mean_latency_us");
+  out.false_opens = doc.number_at("episodes.false_opens");
+  out.false_open_rate = doc.number_at("episodes.false_open_rate");
+  out.hit_efficacy_pct = doc.number_at("episodes.hit_efficacy_pct");
+  out.convergence_ratio = doc.number_at("episodes.convergence_ratio");
+  return out;
+}
+
+// One stream line (a snapshot or the summary); `lines` and `bad_lines` are
+// the framing's to fill.
+std::optional<StreamInfo> read_stream(const JsonValue& doc) {
+  if (doc.string_at("schema") != kStreamSchema) return std::nullopt;
+  StreamInfo out;
+  out.t = doc.number_at("t");
+  out.window_s = doc.number_at("window_s");
+  out.windows = doc.number_at("windows");
+  out.links = doc.number_at("links");
+  out.busy_s = doc.number_at("busy_s");
+  out.stalls = doc.number_at("stalls");
+  out.packets = doc.number_at("packets");
+  out.util_p50 = doc.number_at("util.p50");
+  out.util_p95 = doc.number_at("util.p95");
+  out.util_p99 = doc.number_at("util.p99");
+  out.util_max = doc.number_at("util.max");
   const auto read_class = [&](const char* name, StreamInfo::ClassTotals& c) {
     const std::string base = std::string("link_class.") + name + ".";
-    c.links = last->number_at(base + "links");
-    c.busy_s = last->number_at(base + "busy_s");
-    c.stalls = last->number_at(base + "stalls");
-    c.packets = last->number_at(base + "packets");
+    c.links = doc.number_at(base + "links");
+    c.busy_s = doc.number_at(base + "busy_s");
+    c.stalls = doc.number_at(base + "stalls");
+    c.packets = doc.number_at(base + "packets");
   };
   read_class("local", out.cls_local);
   read_class("global", out.cls_global);
   read_class("terminal", out.cls_terminal);
-  out.onsets = last->number_at("onsets_total");
-  out.opens_predictive = last->number_at("opens.predictive");
-  out.opens_reactive = last->number_at("opens.reactive");
-  out.state_bytes = last->number_at("state_bytes");
-  out.leads.clear();
-  if (const JsonValue* lead = last->find("lead"); lead && lead->is_object()) {
+  out.onsets = doc.number_at("onsets_total");
+  out.opens_predictive = doc.number_at("opens.predictive");
+  out.opens_reactive = doc.number_at("opens.reactive");
+  out.state_bytes = doc.number_at("state_bytes");
+  if (const JsonValue* lead = doc.find("lead"); lead && lead->is_object()) {
     for (const auto& [cls, v] : lead->members()) {
       StreamInfo::Lead l;
       l.cls = cls;
@@ -280,11 +157,147 @@ bool parse_stream(const std::string& text, StreamInfo& out) {
       out.leads.push_back(std::move(l));
     }
   }
+  return out;
+}
+
+// NDJSON framing of a stream file: its last intact stream line, and how many
+// lines were intact and how many torn or foreign. Per-line tolerance: an
+// interrupted writer leaves at most one torn trailing line in an append-only
+// stream, and a reader must not lose the intact prefix over it.
+struct StreamFrame {
+  std::optional<JsonValue> last;
+  std::uint64_t lines = 0;
+  std::uint64_t bad_lines = 0;
+};
+
+StreamFrame frame_stream(std::string_view text) {
+  StreamFrame f;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    std::optional<JsonValue> doc = obs::json_parse(line);
+    if (!doc || doc->string_at("schema") != kStreamSchema) {
+      ++f.bad_lines;
+      continue;
+    }
+    ++f.lines;
+    f.last = std::move(doc);
+  }
+  return f;
+}
+
+// One --check document, read by its schema's reader: at most one member is
+// set, none when the schema is unknown.
+struct CheckDoc {
+  explicit CheckDoc(const JsonValue& doc)
+      : manifest(read_manifest(doc)),
+        baseline(read_baseline(doc)),
+        scorecard(read_scorecard(doc)),
+        stream(read_stream(doc)) {}
+
+  bool known() const { return manifest || baseline || scorecard || stream; }
+  // Run totals: a manifest and a bench baseline both carry them.
+  double events() const {
+    return manifest ? manifest->events : baseline ? baseline->events : 0;
+  }
+  double events_per_sec() const {
+    return manifest   ? manifest->events_per_sec
+           : baseline ? baseline->events_per_sec
+                      : 0;
+  }
+  const BaselineInfo::SdbLookup* sdb_lookup() const {
+    return baseline && baseline->sdb_lookup ? &*baseline->sdb_lookup : nullptr;
+  }
+  const std::vector<ManifestInfo::Policy>& policies() const {
+    static const std::vector<ManifestInfo::Policy> kNone;
+    return manifest ? manifest->policies : kNone;
+  }
+  // The data-class lead, which the positive-lead gate reads; zeros when the
+  // stream has none.
+  StreamInfo::Lead data_lead() const {
+    for (const StreamInfo::Lead& l : stream->leads) {
+      if (l.cls == "data") return l;
+    }
+    return {};
+  }
+
+  std::optional<ManifestInfo> manifest;
+  std::optional<BaselineInfo> baseline;
+  std::optional<ScorecardInfo> scorecard;
+  std::optional<StreamInfo> stream;
+};
+
+// Parse `text` as one document and read it with `read`.
+template <typename Info>
+bool parse_whole(const std::string& text,
+                 std::optional<Info> (*read)(const JsonValue&), Info& out) {
+  const std::optional<JsonValue> doc = obs::json_parse(text);
+  std::optional<Info> info = doc ? read(*doc) : std::nullopt;
+  if (info) out = std::move(*info);
+  return info.has_value();
+}
+
+}  // namespace
+
+bool parse_manifest(const std::string& text, ManifestInfo& out) {
+  return parse_whole(text, read_manifest, out);
+}
+
+bool parse_scorecard(const std::string& text, ScorecardInfo& out) {
+  return parse_whole(text, read_scorecard, out);
+}
+
+bool parse_stream(const std::string& text, StreamInfo& out) {
+  const StreamFrame f = frame_stream(text);
+  if (!f.last) return false;
+  out = *read_stream(*f.last);  // the framing keeps stream lines only
+  out.lines = f.lines;
+  out.bad_lines = f.bad_lines;
   return true;
 }
 
-std::vector<StreamInfo> collect_streams(const std::string& dir) {
-  return collect(dir, {".json", ".ndjson"}, parse_stream);
+ResultsDir collect_documents(const std::string& dir) {
+  std::vector<std::string> paths;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::filesystem::path ext = entry.path().extension();
+    if (entry.is_regular_file() && (ext == ".json" || ext == ".ndjson")) {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());  // directory order is unspecified
+  ResultsDir out;
+  for (std::string& path : paths) {
+    const std::string text = obs::read_text_file(path).value_or("");
+    // Only a .json file may hold one whole document; either extension may
+    // hold a stream.
+    const bool whole = path.ends_with(".json");
+    const std::optional<JsonValue> doc =
+        whole ? obs::json_parse(text) : std::nullopt;
+    StreamInfo stream;
+    if (auto manifest = doc ? read_manifest(*doc) : std::nullopt) {
+      manifest->path = path;
+      out.manifests.push_back(std::move(*manifest));
+    } else if (auto scorecard = doc ? read_scorecard(*doc) : std::nullopt) {
+      scorecard->path = path;
+      out.scorecards.push_back(std::move(*scorecard));
+    } else if (parse_stream(text, stream)) {
+      stream.path = path;
+      out.streams.push_back(std::move(stream));
+    } else if (whole) {
+      out.skipped.push_back(std::move(path));
+    }
+  }
+  return out;
+}
+
+std::optional<JsonValue> read_document(std::string_view text) {
+  if (std::optional<JsonValue> doc = obs::json_parse(text)) return doc;
+  return frame_stream(text).last;
 }
 
 void write_markdown_report(std::ostream& os,
@@ -616,14 +629,14 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
   const auto perf_level =
       t.perf_warn_only ? Finding::Level::kWarning : Finding::Level::kRegression;
 
-  CheckDoc a, b;
-  if (!flatten(older, a)) {
+  const CheckDoc a(older), b(newer);
+  if (!a.known()) {
     add(Finding::Level::kRegression,
         "old document has unknown schema \"" + older.string_at("schema") +
             "\"");
     return result;
   }
-  if (!flatten(newer, b)) {
+  if (!b.known()) {
     add(Finding::Level::kRegression,
         "new document has unknown schema \"" + newer.string_at("schema") +
             "\"");
@@ -637,15 +650,15 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
   if (t.min_packet_ratio > 0) {
     double pkts_a = 0, pkts_b = 0;
     std::string names_a, names_b;
-    for (const CheckDoc::Policy& p : a.policies) {
+    for (const ManifestInfo::Policy& p : a.policies()) {
       pkts_a += p.packets;
       names_a += (names_a.empty() ? "" : "+") + p.name;
     }
-    for (const CheckDoc::Policy& p : b.policies) {
+    for (const ManifestInfo::Policy& p : b.policies()) {
       pkts_b += p.packets;
       names_b += (names_b.empty() ? "" : "+") + p.name;
     }
-    if (a.policies.empty() || b.policies.empty()) {
+    if (a.policies().empty() || b.policies().empty()) {
       add(Finding::Level::kRegression,
           "--min-packet-ratio needs two manifest documents with policy "
           "sections");
@@ -660,9 +673,8 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
     const double ratio = pkts_b / pkts_a;
     std::ostringstream msg;
     msg << "packet ratio \"" << names_b << "\" / \"" << names_a << "\" = "
-        << obs::json_number(ratio) << " ("
-        << static_cast<std::uint64_t>(pkts_b) << " / "
-        << static_cast<std::uint64_t>(pkts_a) << " packets)";
+        << obs::json_number(ratio) << " (" << count(pkts_b) << " / "
+        << count(pkts_a) << " packets)";
     if (ratio < t.min_packet_ratio) {
       add(Finding::Level::kRegression,
           "packet ratio below " + obs::json_number(t.min_packet_ratio) +
@@ -677,27 +689,23 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
 
   // Determinism contract: seeded runs execute a bit-exact event count, so
   // any drift is a behaviour change — never downgraded to a warning.
-  if (a.events > 0 && b.events > 0) {
-    if (a.events != b.events) {
+  const double events_a = a.events(), events_b = b.events();
+  if (events_a > 0 && events_b > 0) {
+    if (events_a != events_b) {
       add(Finding::Level::kRegression,
-          "event count drift: " +
-              std::to_string(static_cast<std::uint64_t>(a.events)) + " -> " +
-              std::to_string(static_cast<std::uint64_t>(b.events)) +
+          "event count drift: " + count(events_a) + " -> " + count(events_b) +
               " (determinism contract: seeded runs are bit-exact)");
     } else {
       add(Finding::Level::kInfo,
-          "event count unchanged (" +
-              std::to_string(static_cast<std::uint64_t>(a.events)) + ")");
+          "event count unchanged (" + count(events_a) + ")");
     }
   }
 
-  if (a.has_rate && b.has_rate) {
-    const double drop = -rel(a.events_per_sec, b.events_per_sec);
-    const std::string msg =
-        "events/sec " + std::to_string(static_cast<std::uint64_t>(
-                            a.events_per_sec)) +
-        " -> " + std::to_string(static_cast<std::uint64_t>(b.events_per_sec)) +
-        " (" + pct(-drop) + ")";
+  const double rate_a = a.events_per_sec(), rate_b = b.events_per_sec();
+  if (rate_a > 0 && rate_b > 0) {
+    const double drop = -rel(rate_a, rate_b);
+    const std::string msg = "events/sec " + count(rate_a) + " -> " +
+                            count(rate_b) + " (" + pct(-drop) + ")";
     if (drop > t.max_rate_drop) {
       add(perf_level, "throughput drop beyond " + pct(t.max_rate_drop) + ": " +
                           msg);
@@ -711,16 +719,14 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
   // lookup model — a silent fallback to the linear path would pass every
   // correctness test (the two are byte-identical by contract) and only
   // show up here.
-  if (b.sdb_lookup.present && b.sdb_lookup.indexed_ns > 0) {
-    const double gate = a.sdb_lookup.present && a.sdb_lookup.min_speedup > 0
-                            ? a.sdb_lookup.min_speedup
-                            : 0;
-    const double speedup = b.sdb_lookup.linear_ns / b.sdb_lookup.indexed_ns;
+  const BaselineInfo::SdbLookup *la = a.sdb_lookup(), *lb = b.sdb_lookup();
+  if (lb && lb->indexed_ns > 0) {
+    const double gate = la && la->min_speedup > 0 ? la->min_speedup : 0;
+    const double speedup = lb->linear_ns / lb->indexed_ns;
     std::ostringstream msg;
     msg << "sdb-lookup index speedup " << obs::json_number(speedup)
-        << "x (linear " << obs::json_number(b.sdb_lookup.linear_ns)
-        << " ns, indexed " << obs::json_number(b.sdb_lookup.indexed_ns)
-        << " ns)";
+        << "x (linear " << obs::json_number(lb->linear_ns) << " ns, indexed "
+        << obs::json_number(lb->indexed_ns) << " ns)";
     if (gate <= 0) {
       add(Finding::Level::kInfo, msg.str() + "; no baseline gate");
     } else if (speedup < gate) {
@@ -730,8 +736,7 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
       add(Finding::Level::kInfo,
           msg.str() + " above " + obs::json_number(gate) + "x gate");
     }
-  } else if (a.sdb_lookup.present && !b.sdb_lookup.present &&
-             b.schema == "prdrb-bench-baseline-v1") {
+  } else if (la && !lb && b.baseline) {
     add(Finding::Level::kWarning,
         "sdb_lookup section missing from new document");
   }
@@ -740,26 +745,21 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
   // SDB hits but that now reports zero means the predictive layer silently
   // stopped firing — always a hard regression, like event drift, regardless
   // of perf_warn_only.
-  if (a.sdb.present && b.sdb.present) {
-    if (a.sdb.hits > 0 && b.sdb.hits == 0) {
+  if (a.scorecard && b.scorecard) {
+    const ScorecardInfo &sa = *a.scorecard, &sb = *b.scorecard;
+    if (sa.sdb_hits > 0 && sb.sdb_hits == 0) {
       add(Finding::Level::kRegression,
-          "SDB hits dropped to zero (baseline had " +
-              std::to_string(static_cast<std::uint64_t>(a.sdb.hits)) +
+          "SDB hits dropped to zero (baseline had " + count(sa.sdb_hits) +
               "): the predictive layer stopped firing");
     } else {
       add(Finding::Level::kInfo,
-          "SDB hits " +
-              std::to_string(static_cast<std::uint64_t>(a.sdb.hits)) +
-              " -> " +
-              std::to_string(static_cast<std::uint64_t>(b.sdb.hits)) +
-              " (misses " +
-              std::to_string(static_cast<std::uint64_t>(a.sdb.misses)) +
-              " -> " +
-              std::to_string(static_cast<std::uint64_t>(b.sdb.misses)) + ")");
+          "SDB hits " + count(sa.sdb_hits) + " -> " + count(sb.sdb_hits) +
+              " (misses " + count(sa.sdb_misses) + " -> " +
+              count(sb.sdb_misses) + ")");
     }
-  } else if (a.sdb.present != b.sdb.present) {
+  } else if (a.scorecard.has_value() != b.scorecard.has_value()) {
     add(Finding::Level::kWarning,
-        std::string("only the ") + (a.sdb.present ? "old" : "new") +
+        std::string("only the ") + (a.scorecard ? "old" : "new") +
             " document is a scorecard; SDB comparison skipped");
   }
 
@@ -768,49 +768,38 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
   // data-class median lead was positive going non-positive means the
   // predictive layer now trails congestion — a behaviour regression, never
   // downgraded by perf_warn_only.
-  if (a.stream.present && b.stream.present) {
-    const bool matched =
-        a.stream.lead_pos + a.stream.lead_neg > 0 ||
-        b.stream.lead_pos + b.stream.lead_neg > 0;
+  if (a.stream && b.stream) {
+    const StreamInfo::Lead la = a.data_lead(), lb = b.data_lead();
+    const bool matched = la.pos + la.neg > 0 || lb.pos + lb.neg > 0;
     std::ostringstream leads;
-    leads << "prediction lead median "
-          << obs::json_number(a.stream.lead_median_s * 1e6) << " -> "
-          << obs::json_number(b.stream.lead_median_s * 1e6) << " us (pos/neg "
-          << static_cast<std::uint64_t>(a.stream.lead_pos) << "/"
-          << static_cast<std::uint64_t>(a.stream.lead_neg) << " -> "
-          << static_cast<std::uint64_t>(b.stream.lead_pos) << "/"
-          << static_cast<std::uint64_t>(b.stream.lead_neg) << ")";
-    if (a.stream.lead_median_s > 0 && !(b.stream.lead_median_s > 0)) {
+    leads << "prediction lead median " << obs::json_number(la.median_s * 1e6)
+          << " -> " << obs::json_number(lb.median_s * 1e6) << " us (pos/neg "
+          << count(la.pos) << "/" << count(la.neg) << " -> " << count(lb.pos)
+          << "/" << count(lb.neg) << ")";
+    if (la.median_s > 0 && !(lb.median_s > 0)) {
       add(Finding::Level::kRegression,
           "positive prediction lead time lost: " + leads.str() +
               " — metapaths now open after congestion onsets");
     } else if (matched) {
       add(Finding::Level::kInfo, leads.str());
     }
-    if (a.stream.onsets > 0 || b.stream.onsets > 0) {
+    if (a.stream->onsets > 0 || b.stream->onsets > 0) {
       add(Finding::Level::kInfo,
-          "congestion onsets " +
-              std::to_string(static_cast<std::uint64_t>(a.stream.onsets)) +
-              " -> " +
-              std::to_string(static_cast<std::uint64_t>(b.stream.onsets)) +
-              " (predictive opens " +
-              std::to_string(
-                  static_cast<std::uint64_t>(a.stream.opens_predictive)) +
-              " -> " +
-              std::to_string(
-                  static_cast<std::uint64_t>(b.stream.opens_predictive)) +
-              ")");
+          "congestion onsets " + count(a.stream->onsets) + " -> " +
+              count(b.stream->onsets) + " (predictive opens " +
+              count(a.stream->opens_predictive) + " -> " +
+              count(b.stream->opens_predictive) + ")");
     }
-  } else if (a.stream.present != b.stream.present) {
+  } else if (a.stream.has_value() != b.stream.has_value()) {
     add(Finding::Level::kWarning,
-        std::string("only the ") + (a.stream.present ? "old" : "new") +
+        std::string("only the ") + (a.stream ? "old" : "new") +
             " document is a stream summary; lead-time comparison skipped");
   }
 
   // Per-policy metrics only exist for manifest-shaped documents.
-  for (const CheckDoc::Policy& pa : a.policies) {
-    const CheckDoc::Policy* pb = nullptr;
-    for (const CheckDoc::Policy& cand : b.policies) {
+  for (const ManifestInfo::Policy& pa : a.policies()) {
+    const ManifestInfo::Policy* pb = nullptr;
+    for (const ManifestInfo::Policy& cand : b.policies()) {
       if (cand.name == pa.name) {
         pb = &cand;
         break;
@@ -835,9 +824,9 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
                           obs::json_number(pb->delivery_ratio));
     }
   }
-  for (const CheckDoc::Policy& pb : b.policies) {
+  for (const ManifestInfo::Policy& pb : b.policies()) {
     bool known = false;
-    for (const CheckDoc::Policy& pa : a.policies) {
+    for (const ManifestInfo::Policy& pa : a.policies()) {
       if (pa.name == pb.name) {
         known = true;
         break;

@@ -1,32 +1,31 @@
-// Sweep reports and regression checks over run manifests.
+// Sweep reports and regression checks over run documents.
 //
-// Every bench/simulator run writes a "prdrb-manifest-v1" manifest; a results
-// directory is therefore self-describing but scattered. This module turns
-// it into two artefacts:
+// A results directory holds "prdrb-manifest-v1" run manifests (every
+// bench/simulator run writes one), "prdrb-scorecard-v1" predictive
+// scorecards and "prdrb-stream-v1" streaming-telemetry NDJSON files. Each
+// schema has one reader in this module, and both artefacts go through it:
 //
-//   * collect_reports(dir) + write_markdown/write_json — one sweep report
-//     ("prdrb-sweep-report-v1") aggregating every manifest in a directory,
-//     deterministic (lexicographic file order) so reports diff cleanly.
-//   * check_documents(old, new) — threshold-based regression verdicts
-//     between two runs, consumed by `prdrb_report --check OLD.json
-//     NEW.json`. Replaces the ad-hoc warn-only CI python diff: event-count
-//     drift (the determinism contract) always fails; throughput/latency/
-//     delivery moves beyond their thresholds fail unless downgraded to
-//     warnings. Accepts "prdrb-manifest-v1" documents, the committed
-//     "prdrb-bench-baseline-v1" shape, "prdrb-scorecard-v1" predictive
-//     scorecards (where losing all SDB hits against a baseline that had
-//     them is always a hard regression), and "prdrb-stream-v1" streaming
-//     summaries (where losing a positive median prediction lead time is
-//     likewise a hard regression).
-//
-// Scorecard files in a results directory are collected separately
-// (collect_scorecards) and rendered as their own report section, including
-// the warm-vs-cold SDB efficacy table; streaming-telemetry NDJSON files
-// (collect_streams) feed the "Prediction lead time" section.
+//   * collect_documents(dir) + write_markdown_report/write_json_report —
+//     one sweep report ("prdrb-sweep-report-v1") over every document in a
+//     directory, read once each and sorted by schema; deterministic
+//     (lexicographic file order) so reports diff cleanly. Scorecards get
+//     their own section, including the warm-vs-cold SDB efficacy table, and
+//     streams feed the "Prediction lead time" section.
+//   * read_document(text) + check_documents(old, new) — threshold-based
+//     regression verdicts between two runs, consumed by `prdrb_report
+//     --check OLD NEW`. Event-count drift (the determinism contract) always
+//     fails; throughput/latency/delivery moves beyond their thresholds fail
+//     unless downgraded to warnings. Accepts manifests, the committed
+//     "prdrb-bench-baseline-v1" shape, scorecards (where losing all SDB hits
+//     against a baseline that had them is always a hard regression) and
+//     stream summaries (where losing a positive median prediction lead time
+//     is likewise a hard regression).
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -58,13 +57,6 @@ struct ManifestInfo {
 /// is invalid or the schema does not match.
 bool parse_manifest(const std::string& text, ManifestInfo& out);
 
-/// Load every *.json manifest under `dir` (non-recursive, lexicographic
-/// order; non-manifest JSON files are skipped). `skipped` (optional)
-/// collects the names of skipped files.
-std::vector<ManifestInfo> collect_reports(const std::string& dir,
-                                          std::vector<std::string>* skipped =
-                                              nullptr);
-
 /// One predictive-efficacy scorecard ("prdrb-scorecard-v1", written by
 /// obs::Scorecard), parsed and summarized for reporting.
 struct ScorecardInfo {
@@ -94,10 +86,6 @@ struct ScorecardInfo {
 /// Parse one scorecard document; false when the JSON is invalid or the
 /// schema does not match.
 bool parse_scorecard(const std::string& text, ScorecardInfo& out);
-
-/// Load every *.json scorecard under `dir` (non-recursive, lexicographic
-/// order; other JSON files are ignored).
-std::vector<ScorecardInfo> collect_scorecards(const std::string& dir);
 
 /// One streaming-telemetry file ("prdrb-stream-v1" NDJSON, written by
 /// obs::StreamTelemetry), summarized from its final summary/snapshot line.
@@ -144,9 +132,22 @@ struct StreamInfo {
 /// such line exists at all.
 bool parse_stream(const std::string& text, StreamInfo& out);
 
-/// Load every *.json / *.ndjson stream file under `dir` (non-recursive,
-/// lexicographic order; other files are ignored).
-std::vector<StreamInfo> collect_streams(const std::string& dir);
+/// Every document in one results directory, in lexicographic path order.
+struct ResultsDir {
+  std::vector<ManifestInfo> manifests;
+  std::vector<ScorecardInfo> scorecards;
+  std::vector<StreamInfo> streams;
+  /// *.json files that hold none of the three schemas (other exports,
+  /// empty or partially-written files).
+  std::vector<std::string> skipped;
+};
+
+/// Read every *.json and *.ndjson file under `dir` once (non-recursive) and
+/// sort it into exactly one list. A .json file holds a manifest or a
+/// scorecard when it parses whole, else a stream when a line does; either
+/// extension may hold a stream. A .ndjson file with no stream line is
+/// ignored rather than skipped. A missing directory reads as empty.
+ResultsDir collect_documents(const std::string& dir);
 
 /// Markdown sweep report over collected manifests (and, when present,
 /// scorecards: attribution totals plus the warm-vs-cold efficacy table;
@@ -194,7 +195,14 @@ struct CheckResult {
   }
 };
 
-/// Compare two parsed JSON documents (manifest or bench-baseline shape).
+/// The document `--check` compares from one file's text: the whole text
+/// when it parses as one JSON value, else the last intact "prdrb-stream-v1"
+/// line of an NDJSON stream (a torn trailing line is skipped). nullopt when
+/// neither exists.
+std::optional<obs::JsonValue> read_document(std::string_view text);
+
+/// Compare two parsed documents of the accepted schemas, each read through
+/// its schema's reader; an unknown schema on either side is a regression.
 /// Event-count drift is always a regression — seeded runs are bit-exact, so
 /// a drift means behaviour changed; performance moves beyond thresholds are
 /// regressions unless `perf_warn_only` downgrades them.

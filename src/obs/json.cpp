@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 
 namespace prdrb::obs {
 
@@ -471,6 +472,14 @@ std::optional<JsonValue> json_parse(std::string_view s) {
 }
 
 bool json_valid(std::string_view s) { return json_parse(s).has_value(); }
+
+std::optional<std::string> read_text_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return std::nullopt;
+  std::ostringstream buf;
+  buf << f.rdbuf();
+  return buf.str();
+}
 
 bool write_text_file(const std::string& path, std::string_view content) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);

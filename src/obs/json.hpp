@@ -138,6 +138,10 @@ class JsonValue {
 /// are decoded to UTF-8, surrogate pairs included.
 std::optional<JsonValue> json_parse(std::string_view s);
 
+/// The whole of the file at `path`, read as bytes; nullopt when it cannot
+/// be opened.
+std::optional<std::string> read_text_file(const std::string& path);
+
 /// Write `content` to `path`; returns false (and warns on stderr) on
 /// failure instead of throwing — observability must never abort a run.
 bool write_text_file(const std::string& path, std::string_view content);

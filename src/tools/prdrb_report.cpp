@@ -1,23 +1,25 @@
-// prdrb_report: sweep reports and regression checks over run manifests.
+// prdrb_report: sweep reports and regression checks over run documents.
+// Both modes read every document through the schema readers of
+// experiment/report.
 //
 //   prdrb_report RESULTS_DIR [--json] [-o FILE]
-//       Aggregate every prdrb-manifest-v1 manifest in RESULTS_DIR into a
-//       markdown (default) or JSON ("prdrb-sweep-report-v1") sweep report.
-//       prdrb-scorecard-v1 files in the directory are rendered as their own
-//       section (attribution totals + warm-vs-cold SDB efficacy table), and
-//       prdrb-stream-v1 NDJSON streams as the "Prediction lead time"
-//       section. Unreadable, empty or partially-written files are skipped
-//       with a warning, never aborted on.
+//       Aggregate the documents in RESULTS_DIR, each file read once, into a
+//       markdown (default) or JSON ("prdrb-sweep-report-v1") sweep report:
+//       prdrb-manifest-v1 manifests, prdrb-scorecard-v1 scorecards (their
+//       own section: attribution totals + warm-vs-cold SDB efficacy table)
+//       and prdrb-stream-v1 NDJSON streams (the "Prediction lead time"
+//       section). Unreadable, empty or partially-written .json files are
+//       skipped with a warning, never aborted on.
 //
-//   prdrb_report --check OLD.json NEW.json [options]
+//   prdrb_report --check OLD NEW [options]
 //       Compare two runs (manifest, prdrb-bench-baseline-v1,
 //       prdrb-scorecard-v1 or prdrb-stream-v1 documents; stream NDJSON is
-//       checked via its last intact line) and exit nonzero on regression.
-//       Event-count drift always fails (deterministic kernel), as does a
-//       scorecard whose SDB hits dropped to zero against a baseline that
-//       had hits, or a stream whose positive median prediction lead time
-//       went non-positive; performance moves beyond thresholds fail
-//       unless --perf-warn-only downgrades them.
+//       checked via its last intact stream line) and exit nonzero on
+//       regression. Event-count drift always fails (deterministic kernel),
+//       as does a scorecard whose SDB hits dropped to zero against a
+//       baseline that had hits, or a stream whose positive median
+//       prediction lead time went non-positive; performance moves beyond
+//       thresholds fail unless --perf-warn-only downgrades them.
 //       Options: --max-rate-drop=F (default 0.30), --max-latency-rise=F
 //       (default 0.10), --max-delivery-drop=F (default 0.01),
 //       --perf-warn-only.
@@ -26,18 +28,21 @@
 //       (e.g. minimal vs ugal-l on the adversarial dragonfly permutation),
 //       and NEW must deliver at least F times OLD's packets; the same-run
 //       invariants (event drift, per-policy deltas) are skipped.
+//       Each F is read whole and must be a finite number >= 0, and > 0 for
+//       --min-packet-ratio; anything else exits 2 naming the flag before
+//       any file is read.
 //
 // Exit codes: 0 clean/warnings-only, 1 regression, 2 usage or parse error.
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "experiment/report.hpp"
 #include "obs/json.hpp"
+#include "util/parsed.hpp"
 
 namespace {
 
@@ -50,37 +55,41 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
+struct ThresholdFlag {
+  std::string_view name;
+  double prdrb::CheckThresholds::*field;
+  bool positive;  // 0 is rejected too
+};
 
-bool parse_fraction(const char* arg, const char* name, double& out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  out = std::atof(arg + len + 1);
-  return true;
-}
+constexpr ThresholdFlag kThresholdFlags[] = {
+    {"--max-rate-drop", &prdrb::CheckThresholds::max_rate_drop, false},
+    {"--max-latency-rise", &prdrb::CheckThresholds::max_latency_rise, false},
+    {"--max-delivery-drop", &prdrb::CheckThresholds::max_delivery_drop,
+     false},
+    {"--min-packet-ratio", &prdrb::CheckThresholds::min_packet_ratio, true},
+};
 
-// A stream NDJSON file is not one JSON document; its regression-relevant
-// state is the last intact line (the summary). Scan backwards so a torn
-// trailing line from an interrupted run does not hide the intact summary.
-std::optional<prdrb::obs::JsonValue> parse_last_line(const std::string& text) {
-  std::size_t end = text.size();
-  while (end > 0) {
-    std::size_t start = text.rfind('\n', end - 1);
-    const std::size_t line_start = start == std::string::npos ? 0 : start + 1;
-    const std::string line = text.substr(line_start, end - line_start);
-    if (line.find_first_not_of(" \t\r") != std::string::npos) {
-      if (auto doc = prdrb::obs::json_parse(line)) return doc;
+const ThresholdFlag* threshold_flag(std::string_view arg) {
+  for (const ThresholdFlag& f : kThresholdFlags) {
+    if (arg.starts_with(f.name) && arg.substr(f.name.size(), 1) == "=") {
+      return &f;
     }
-    if (line_start == 0) break;
-    end = line_start - 1;
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+// The whole of `value` as a finite number in `f`'s range; the error names
+// the flag.
+prdrb::Parsed<double> parse_threshold(const ThresholdFlag& f,
+                                      std::string_view value) {
+  prdrb::Parsed<double> v = prdrb::parse_number<double>(f.name, value);
+  if (v.ok() && (v.value() < 0 || (f.positive && v.value() == 0))) {
+    const char* want = f.positive ? " needs a number > 0, got"
+                                  : " needs a number >= 0, got";
+    return prdrb::ParseError{std::string(value), "flag",
+                             std::string(f.name) + want, ""};
+  }
+  return v;
 }
 
 int run_check(const std::vector<std::string>& files,
@@ -88,13 +97,13 @@ int run_check(const std::vector<std::string>& files,
   if (files.size() != 2) return usage(std::cerr, 2);
   prdrb::obs::JsonValue docs[2];
   for (int i = 0; i < 2; ++i) {
-    std::optional<std::string> text = read_file(files[i]);
+    const std::optional<std::string> text =
+        prdrb::obs::read_text_file(files[i]);
     if (!text) {
       std::cerr << "prdrb_report: cannot read " << files[i] << "\n";
       return 2;
     }
-    std::optional<prdrb::obs::JsonValue> doc = prdrb::obs::json_parse(*text);
-    if (!doc) doc = parse_last_line(*text);
+    std::optional<prdrb::obs::JsonValue> doc = prdrb::read_document(*text);
     if (!doc) {
       std::cerr << "prdrb_report: " << files[i] << " is not valid JSON\n";
       return 2;
@@ -132,15 +141,14 @@ int main(int argc, char** argv) {
       thresholds.perf_warn_only = true;
     } else if (arg == "-o" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (parse_fraction(argv[i], "--max-rate-drop",
-                              thresholds.max_rate_drop) ||
-               parse_fraction(argv[i], "--max-latency-rise",
-                              thresholds.max_latency_rise) ||
-               parse_fraction(argv[i], "--max-delivery-drop",
-                              thresholds.max_delivery_drop) ||
-               parse_fraction(argv[i], "--min-packet-ratio",
-                              thresholds.min_packet_ratio)) {
-      // parsed in the condition
+    } else if (const ThresholdFlag* f = threshold_flag(arg)) {
+      const prdrb::Parsed<double> v = parse_threshold(
+          *f, std::string_view(arg).substr(f->name.size() + 1));
+      if (!v.ok()) {
+        std::cerr << "prdrb_report: " << v.error().what() << "\n";
+        return 2;
+      }
+      thresholds.*(f->field) = v.value();
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "prdrb_report: unknown option " << arg << "\n";
       return usage(std::cerr, 2);
@@ -152,38 +160,15 @@ int main(int argc, char** argv) {
   if (check) return run_check(positional, thresholds);
 
   if (positional.size() != 1) return usage(std::cerr, 2);
-  std::vector<std::string> skipped;
-  const std::vector<prdrb::ManifestInfo> manifests =
-      prdrb::collect_reports(positional[0], &skipped);
-  const std::vector<prdrb::ScorecardInfo> scorecards =
-      prdrb::collect_scorecards(positional[0]);
-  const std::vector<prdrb::StreamInfo> streams =
-      prdrb::collect_streams(positional[0]);
-  for (const std::string& s : skipped) {
-    // Scorecards and streams are collected by the passes above, not
-    // "skipped". Anything else — other observability exports, empty or
-    // partially-written files — is skipped with a warning, never a hard
-    // failure: a results directory from an interrupted sweep must still
-    // aggregate.
-    bool collected = false;
-    for (const prdrb::ScorecardInfo& sc : scorecards) {
-      if (sc.path == s) {
-        collected = true;
-        break;
-      }
-    }
-    for (const prdrb::StreamInfo& st : streams) {
-      if (st.path == s) {
-        collected = true;
-        break;
-      }
-    }
-    if (!collected) {
-      std::cerr << "prdrb_report: skipping unrecognized or partial " << s
-                << "\n";
-    }
+  const prdrb::ResultsDir docs = prdrb::collect_documents(positional[0]);
+  // Other observability exports and empty or partially-written files are
+  // skipped with a warning, never a hard failure: a results directory from
+  // an interrupted sweep must still aggregate.
+  for (const std::string& s : docs.skipped) {
+    std::cerr << "prdrb_report: skipping unrecognized or partial " << s
+              << "\n";
   }
-  for (const prdrb::StreamInfo& st : streams) {
+  for (const prdrb::StreamInfo& st : docs.streams) {
     if (st.bad_lines > 0) {
       std::cerr << "prdrb_report: " << st.path << ": skipped "
                 << st.bad_lines
@@ -194,9 +179,11 @@ int main(int argc, char** argv) {
 
   std::ostringstream body;
   if (json) {
-    prdrb::write_json_report(body, manifests, scorecards, streams);
+    prdrb::write_json_report(body, docs.manifests, docs.scorecards,
+                             docs.streams);
   } else {
-    prdrb::write_markdown_report(body, manifests, scorecards, streams);
+    prdrb::write_markdown_report(body, docs.manifests, docs.scorecards,
+                                 docs.streams);
   }
   if (out_path.empty()) {
     std::cout << body.str();

@@ -1,10 +1,12 @@
 // Sweep-report / regression-check tests (experiment/report, the library
 // behind the prdrb_report CLI):
 //   - manifest parsing round-trips what experiment/manifest writes
-//   - directory collection is deterministic and skips non-manifest JSON
+//   - directory collection is deterministic, reads each file into exactly
+//     one list and skips foreign JSON
+//   - read_document: whole JSON, NDJSON and torn streams
 //   - markdown / JSON report rendering
 //   - check_documents verdicts: event drift always fails, perf moves obey
-//     thresholds and --perf-warn-only, both accepted schemas work
+//     thresholds and --perf-warn-only, every accepted schema works
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiment/manifest.hpp"
 #include "experiment/report.hpp"
@@ -79,8 +82,9 @@ TEST(Report, CollectReportsIsSortedAndSkipsForeignFiles) {
   write("notes.json", "{\"schema\":\"other\"}");
   write("readme.txt", "not json at all");
 
-  std::vector<std::string> skipped;
-  const auto manifests = collect_reports(dir, &skipped);
+  const ResultsDir docs = collect_documents(dir);
+  const std::vector<ManifestInfo>& manifests = docs.manifests;
+  const std::vector<std::string>& skipped = docs.skipped;
   ASSERT_EQ(manifests.size(), 2u);
   // Lexicographic path order, not directory order.
   EXPECT_NE(manifests[0].path.find("a_run.json"), std::string::npos);
@@ -253,8 +257,9 @@ TEST(Report, ScorecardsRenderTheirOwnSections) {
   std::ofstream(dir + "/manifest.json") << manifest_json(1000, 1.0, 10.0);
   std::ofstream(dir + "/scorecard.json") << scorecard_json(12, 30);
 
-  const auto manifests = collect_reports(dir);
-  const auto scorecards = collect_scorecards(dir);
+  const ResultsDir docs = collect_documents(dir);
+  const std::vector<ManifestInfo>& manifests = docs.manifests;
+  const std::vector<ScorecardInfo>& scorecards = docs.scorecards;
   ASSERT_EQ(manifests.size(), 1u);
   ASSERT_EQ(scorecards.size(), 1u);
 
@@ -267,7 +272,7 @@ TEST(Report, ScorecardsRenderTheirOwnSections) {
   // A scorecard-only directory still produces a report.
   std::filesystem::remove(dir + "/manifest.json");
   std::ostringstream md2;
-  write_markdown_report(md2, {}, collect_scorecards(dir));
+  write_markdown_report(md2, {}, collect_documents(dir).scorecards);
   EXPECT_NE(md2.str().find("Warm vs cold SDB efficacy"), std::string::npos);
 
   std::ostringstream js;
@@ -347,6 +352,19 @@ TEST(Report, StreamLosingPositiveLeadAlwaysFails) {
   EXPECT_FALSE(check_documents(late, parsed(stream_line(-80e-6, 0, 9)),
                                CheckThresholds{})
                    .has_regression());
+
+  // The gate reads the data class by name, wherever it sits in "lead": a
+  // leading ack class with a positive median does not hide the lost lead.
+  std::string reordered = stream_line(-50e-6, 1, 9);
+  reordered.insert(reordered.find("\"lead\":{") + 8,
+                   "\"ack\":{\"pos\":5,\"neg\":0,\"median_s\":0.0001},");
+  reordered.erase(reordered.rfind(",\"ack\":{"),
+                  reordered.find("},\"predictive-ack\"") + 1 -
+                      reordered.rfind(",\"ack\":{"));
+  const JsonValue reordered_doc = parsed(reordered);
+  ASSERT_EQ(reordered_doc.find("lead")->members().front().first, "ack");
+  EXPECT_TRUE(check_documents(base, reordered_doc, CheckThresholds{})
+                  .has_regression());
 }
 
 TEST(Report, StreamsRenderLeadTimeSection) {
@@ -356,7 +374,7 @@ TEST(Report, StreamsRenderLeadTimeSection) {
       << stream_line(50e-6, 4, 1, "snapshot") << "\n"
       << stream_line(120e-6, 10, 2) << "\n";
 
-  const auto streams = collect_streams(dir);
+  const auto streams = collect_documents(dir).streams;
   ASSERT_EQ(streams.size(), 1u);
   std::ostringstream md;
   write_markdown_report(md, {}, {}, streams);
@@ -370,6 +388,105 @@ TEST(Report, StreamsRenderLeadTimeSection) {
   EXPECT_NE(js.str().find("stream_runs"), std::string::npos);
 
   std::filesystem::remove_all(dir);
+}
+
+TEST(Report, ReadDocumentTakesWholeJsonOrTheLastIntactStreamLine) {
+  // A whole document reads as itself.
+  const auto manifest = read_document(manifest_json(5000, 2.0, 10.0));
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->string_at("schema"), "prdrb-manifest-v1");
+
+  // NDJSON: the last intact stream line, the summary.
+  const std::string ndjson = stream_line(50e-6, 4, 1, "snapshot") + "\n" +
+                             stream_line(120e-6, 10, 2) + "\n";
+  for (const std::string& text :
+       {ndjson, ndjson + "{\"schema\":\"prdrb-str",  // torn mid-write
+        ndjson + "{\"schema\":\"other\"}\n"}) {     // not a stream line
+    const auto doc = read_document(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    EXPECT_EQ(doc->string_at("kind"), "summary");
+    EXPECT_DOUBLE_EQ(doc->number_at("lead.data.median_s"), 120e-6);
+  }
+
+  // No stream line: nothing to check.
+  EXPECT_FALSE(read_document("").has_value());
+  EXPECT_FALSE(read_document("{\"torn").has_value());
+  EXPECT_FALSE(read_document("{\"a\":1}\n{\"b\":2}\n").has_value());
+}
+
+template <typename Info>
+std::vector<std::string> file_names(const std::vector<Info>& infos) {
+  std::vector<std::string> out;
+  for (const Info& i : infos) {
+    out.push_back(std::filesystem::path(i.path).filename().string());
+  }
+  return out;
+}
+
+TEST(Report, CollectDocumentsPutsEachFileInExactlyOneList) {
+  const std::string dir = ::testing::TempDir() + "prdrb_report_one_pass";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto write = [&](const std::string& name, const std::string& body) {
+    std::ofstream(dir + "/" + name) << body;
+  };
+  write("a_manifest.json", manifest_json(1000, 1.0, 10.0));
+  write("b_scorecard.json", scorecard_json(12, 30));
+  write("c_stream.ndjson", stream_line(50e-6, 4, 1, "snapshot") + "\n" +
+                               stream_line(120e-6, 10, 2) + "\n" +
+                               "{\"schema\":\"prdrb-str");
+  write("d_one_line_stream.json", stream_line(120e-6, 10, 2) + "\n");
+  write("e_foreign.json", "{\"schema\":\"other\"}");
+  write("f_empty.json", "");
+  write("g_junk.ndjson", "not a stream\n");
+  write("h_notes.txt", "not json at all");
+
+  const ResultsDir docs = collect_documents(dir);
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(file_names(docs.manifests), Names{"a_manifest.json"});
+  EXPECT_EQ(file_names(docs.scorecards), Names{"b_scorecard.json"});
+  // A one-line stream saved as .json is a stream, not a foreign document.
+  EXPECT_EQ(file_names(docs.streams),
+            (Names{"c_stream.ndjson", "d_one_line_stream.json"}));
+  ASSERT_EQ(docs.streams.size(), 2u);
+  EXPECT_EQ(docs.streams[0].lines, 2u);
+  EXPECT_EQ(docs.streams[0].bad_lines, 1u);
+  EXPECT_EQ(docs.streams[1].lines, 1u);
+  EXPECT_EQ(docs.streams[1].bad_lines, 0u);
+  // Only .json files are skipped; a .ndjson file with no stream line and
+  // other extensions are ignored.
+  Names skipped;
+  for (const std::string& p : docs.skipped) {
+    skipped.push_back(std::filesystem::path(p).filename().string());
+  }
+  EXPECT_EQ(skipped, (Names{"e_foreign.json", "f_empty.json"}));
+
+  const ResultsDir missing = collect_documents(dir + "/no-such-dir");
+  EXPECT_TRUE(missing.manifests.empty() && missing.scorecards.empty() &&
+              missing.streams.empty() && missing.skipped.empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Report, CheckReadsATornStreamLikeTheIntactFile) {
+  const auto base = read_document(stream_line(120e-6, 10, 2) + "\n");
+  // The snapshot still leads; the summary, which is what --check reads,
+  // has lost the lead.
+  const std::string intact = stream_line(50e-6, 4, 1, "snapshot") + "\n" +
+                             stream_line(-50e-6, 1, 9) + "\n";
+  const auto whole = read_document(intact);
+  const auto torn = read_document(intact + "{\"schema\":\"prdrb-str");
+  ASSERT_TRUE(base && whole && torn);
+
+  const CheckResult r_whole = check_documents(*base, *whole, {});
+  const CheckResult r_torn = check_documents(*base, *torn, {});
+  std::ostringstream f_whole, f_torn;
+  write_findings(f_whole, r_whole);
+  write_findings(f_torn, r_torn);
+  EXPECT_EQ(f_torn.str(), f_whole.str());
+  EXPECT_TRUE(r_torn.has_regression());
+  EXPECT_NE(f_torn.str().find("positive prediction lead time lost"),
+            std::string::npos)
+      << f_torn.str();
 }
 
 TEST(Report, FindingsRenderOnePerLineWithVerdictPrefixes) {
