@@ -7,6 +7,8 @@
 //     notification (§3.4.1);
 //   * similarity threshold for situation matching (80 % in §3.2.8).
 #include <iostream>
+#include <iterator>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -94,41 +96,30 @@ int main(int argc, char** argv) {
   }
   s.print(std::cout);
 
+  // The ablations are five more pr-drb runs of the same spec: three
+  // similarity thresholds, then the trend extension off and on.
+  const double similarities[] = {0.5, 0.8, 0.95};
+  const bool trends[] = {false, true};
+  std::vector<SweepJob> jobs;
+  for (double simthr : similarities) {
+    ScenarioSpec spec = sc;
+    spec.prdrb.similarity = simthr;
+    jobs.push_back(SweepJob::make("pr-drb", spec));
+  }
+  for (bool trend : trends) {
+    ScenarioSpec spec = sc;
+    spec.prdrb.trend_prediction = trend;
+    jobs.push_back(SweepJob::make("pr-drb", spec));
+  }
+  const std::vector<ScenarioResult> ablations = run_sweep(jobs);
+
   std::cout << "\n--- ablation: similarity threshold (0.8 in the paper) "
                "---\n";
   Table a({"similarity", "global_us", "installs", "saved"});
-  for (double simthr : {0.5, 0.8, 0.95}) {
-    Simulator sim;
-    auto topo = make_topology(sc.topology).value_or_throw();
-    NetConfig cfg;
-    PrDrbConfig pcfg;
-    pcfg.similarity = simthr;
-    PrDrbPolicy policy(default_drb_config(), pcfg, 7);
-    CongestionDetector cfd(NotificationMode::kDestinationBased);
-    Network net(sim, *topo, cfg, policy);
-    MetricsCollector metrics(topo->num_nodes(), topo->num_routers(),
-                             sc.bin_width);
-    net.set_observer(&metrics);
-    net.set_monitor(&cfd);
-    auto* mesh = dynamic_cast<Mesh2D*>(topo.get());
-    HotspotPattern hp = make_mesh_cross_hotspot(*mesh, 8);
-    TrafficConfig tc;
-    tc.rate_bps = sc.synthetic().rate_bps;
-    tc.stop = sc.synthetic().duration;
-    BurstSchedule bursts(0.5e-3, sc.synthetic().burst_len,
-                         sc.synthetic().gap_len, sc.synthetic().bursts);
-    TrafficGenerator gen(sim, net, hp, tc, sc.seed, hp.sources(), &bursts);
-    gen.start();
-    UniformPattern noise_pat(topo->num_nodes());
-    TrafficConfig nc = tc;
-    nc.rate_bps = sc.synthetic().noise_rate_bps;
-    TrafficGenerator noise(sim, net, noise_pat, nc, sc.seed + 1);
-    noise.start();
-    sim.run();
-    a.add_row({Table::num(simthr, 3),
-               us(metrics.global_average_latency()),
-               std::to_string(policy.engine().installs()),
-               std::to_string(policy.engine().db().size())});
+  for (std::size_t i = 0; i < std::size(similarities); ++i) {
+    const ScenarioResult& r = ablations[i];
+    a.add_row({Table::num(similarities[i], 3), us(r.global_latency),
+               std::to_string(r.installs), std::to_string(r.patterns_saved)});
   }
   a.print(std::cout);
   std::cout << "\nlow thresholds over-match (wrong solutions installed), "
@@ -138,38 +129,10 @@ int main(int argc, char** argv) {
   std::cout << "\n--- extension (§5.2): latency-trend congestion prediction "
                "---\n";
   Table tr({"trend_prediction", "global_us", "trend_triggers", "installs"});
-  for (bool trend : {false, true}) {
-    Simulator sim;
-    auto topo = make_topology(sc.topology).value_or_throw();
-    NetConfig cfg;
-    PrDrbConfig pcfg;
-    pcfg.trend_prediction = trend;
-    PrDrbPolicy policy(default_drb_config(), pcfg, 7);
-    CongestionDetector cfd(NotificationMode::kDestinationBased);
-    Network net(sim, *topo, cfg, policy);
-    MetricsCollector metrics(topo->num_nodes(), topo->num_routers(),
-                             sc.bin_width);
-    net.set_observer(&metrics);
-    net.set_monitor(&cfd);
-    auto* mesh = dynamic_cast<Mesh2D*>(topo.get());
-    HotspotPattern hp = make_mesh_cross_hotspot(*mesh, 8);
-    TrafficConfig tc;
-    tc.rate_bps = sc.synthetic().rate_bps;
-    tc.stop = sc.synthetic().duration;
-    BurstSchedule bursts(0.5e-3, sc.synthetic().burst_len,
-                         sc.synthetic().gap_len, sc.synthetic().bursts);
-    TrafficGenerator gen(sim, net, hp, tc, sc.seed, hp.sources(), &bursts);
-    gen.start();
-    UniformPattern noise_pat(topo->num_nodes());
-    TrafficConfig nc = tc;
-    nc.rate_bps = sc.synthetic().noise_rate_bps;
-    TrafficGenerator noise(sim, net, noise_pat, nc, sc.seed + 1);
-    noise.start();
-    sim.run();
-    tr.add_row({trend ? "on" : "off",
-                us(metrics.global_average_latency()),
-                std::to_string(policy.engine().trend_triggers()),
-                std::to_string(policy.engine().installs())});
+  for (std::size_t i = 0; i < std::size(trends); ++i) {
+    const ScenarioResult& r = ablations[std::size(similarities) + i];
+    tr.add_row({trends[i] ? "on" : "off", us(r.global_latency),
+                std::to_string(r.trend_triggers), std::to_string(r.installs)});
   }
   tr.print(std::cout);
   std::cout << "\ntrend prediction reacts while latency is still rising "

@@ -6,17 +6,16 @@
 //   ./build/examples/trace_replay [app] [policy]
 //   app    in {pop, nas-lu, nas-mg-a, nas-mg-b, lammps-chain, lammps-comb,
 //             sweep3d}           (default pop)
-//   policy in {deterministic, drb, pr-drb}   (default pr-drb)
+//   policy any name make_policy knows (default pr-drb); an unknown name
+//          exits 2 with the nearest known name suggested
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <memory>
 
-#include "core/pr_drb.hpp"
+#include "experiment/scenario.hpp"
 #include "metrics/collector.hpp"
 #include "net/kary_ntree.hpp"
 #include "net/network.hpp"
-#include "routing/oblivious.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
 #include "trace/player.hpp"
@@ -31,27 +30,21 @@ int main(int argc, char** argv) {
   Simulator sim;
   KAryNTree topo(4, 3);
   NetConfig cfg;
-
-  std::unique_ptr<RoutingPolicy> policy;
-  PrDrbPolicy* pr = nullptr;
-  if (policy_name == "deterministic") {
-    policy = std::make_unique<DeterministicPolicy>();
-  } else if (policy_name == "drb") {
-    policy = std::make_unique<DrbPolicy>();
-  } else {
-    auto p = std::make_unique<PrDrbPolicy>();
-    pr = p.get();
-    policy = std::move(p);
+  // DrbConfig{}: this example runs DRB's own 6/12 us zone thresholds, not
+  // the evaluation's default_drb_config().
+  Parsed<PolicyBundle> parsed = make_policy(policy_name, DrbConfig{});
+  if (!parsed.ok()) {
+    std::cerr << "error: " << parsed.error().what() << "\n";
+    return 2;
   }
-
-  Network net(sim, topo, cfg, *policy);
-  CongestionDetector cfd(NotificationMode::kDestinationBased);
-  if (pr) {
-    net.set_monitor(&cfd);
+  PolicyBundle& bundle = parsed.value();
+  Network net(sim, topo, cfg, *bundle.policy);
+  if (bundle.monitor) net.set_monitor(bundle.monitor.get());
+  if (bundle.engine) {
     // Warm start from a previous run's exported database, if present.
     std::ifstream in("prdrb_solutions_" + app + ".txt");
     if (in) {
-      const std::size_t n = pr->engine().db().import_text(in);
+      const std::size_t n = bundle.engine->db().import_text(in);
       std::cout << "warm start: imported " << n
                 << " saved solutions from a previous run (§5.2 static "
                    "variation)\n";
@@ -67,7 +60,7 @@ int main(int argc, char** argv) {
   const TraceProgram prog = make_app_trace(app, topo.num_nodes(), scale);
   std::cout << "replaying " << prog.app_name() << " (" << prog.ranks()
             << " ranks, " << prog.total_events() << " trace events) under "
-            << policy->name() << "\n";
+            << bundle.policy->name() << "\n";
 
   TracePlayer player(sim, net, prog);
   player.start();
@@ -102,12 +95,12 @@ int main(int argc, char** argv) {
   std::cout << "\nmost-blocked ranks (communication imbalance):\n";
   t.print(std::cout);
 
-  if (pr) {
-    const auto& db = pr->engine().db();
+  if (bundle.engine) {
+    const auto& db = bundle.engine->db();
     std::cout << "\npredictive module: " << db.size()
               << " congestion patterns saved, " << db.reused_patterns()
               << " re-identified, best solution re-applied " << db.max_reuse()
-              << " time(s); " << cfd.detections()
+              << " time(s); " << bundle.monitor->detections()
               << " router congestion detections.\n";
     // Offline / static variation (thesis §5.2): persist the learned
     // solutions so a future run starts warm. Re-run this example and the
