@@ -22,18 +22,6 @@ void LatencyHistogram::record(SimTime latency) {
   ++count_;
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (int b = 0; b < kNumBuckets; ++b) {
-    buckets_[static_cast<std::size_t>(b)] +=
-        other.buckets_[static_cast<std::size_t>(b)];
-  }
-  count_ += other.count_;
-}
-
-SimTime LatencyHistogram::bucket_upper_bound(int bucket) {
-  return bucket_upper(bucket);
-}
-
 SimTime LatencyHistogram::percentile(double p) const {
   if (count_ == 0) return 0;
   // Clamp so p == 1.0 (and any out-of-range request) resolves to the last

@@ -22,24 +22,7 @@ class LatencyHistogram {
 
   void record(SimTime latency);
 
-  /// Fold `other` into this histogram (bucket-wise count addition). Because
-  /// buckets are fixed and samples clamp identically on both sides, merging
-  /// partial histograms is *exact*: percentiles of the merged histogram
-  /// equal percentiles of a single-pass histogram over the concatenated
-  /// stream (tested in tests/scorecard_test.cpp). This is what makes
-  /// deterministic cross-worker scorecard folds possible.
-  void merge(const LatencyHistogram& other);
-
   std::uint64_t count() const { return count_; }
-
-  /// Raw bucket occupancy (for exports and merge tests).
-  std::uint64_t bucket_count(int bucket) const {
-    return buckets_[static_cast<std::size_t>(bucket)];
-  }
-
-  /// Upper latency bound of `bucket` — the value percentile() reports when
-  /// the percentile lands in it.
-  static SimTime bucket_upper_bound(int bucket);
 
   /// Smallest latency L such that at least `p` (in [0,1]) of the samples
   /// are <= L; returns the bucket's upper bound. Defined for every input:

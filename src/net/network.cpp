@@ -113,7 +113,6 @@ void Network::nic_try_inject(NodeId n) {
   target.vn_used[static_cast<std::size_t>(vn)] += p->size_bytes;
   nic.injecting = true;
   ++nic.packets_injected;
-  nic.bytes_injected += p->size_bytes;
 
   const SimTime ser = cfg_.serialization_time(p->size_bytes);
   if (probe_) probe_->nic_transmit(*p, sim_.now(), ser);
@@ -210,10 +209,7 @@ void Network::try_transmit(RouterId r, int port) {
   const SimTime now = sim_.now();
   const SimTime wait = now - p->queued_at;
   p->path_latency += wait;  // LU module: accumulate contention latency
-  out.total_wait += wait;
-  out.last_wait = wait;
   ++out.packets_sent;
-  router.total_contention += wait;
   ++router.packets_forwarded;
   if (observer_) {
     observer_->on_port_wait(r, port, wait, now);
@@ -249,7 +245,6 @@ void Network::deliver(RouterId r, Packet* p) {
 
   Nic& nic = nics_[static_cast<std::size_t>(p->destination)];
   ++nic.packets_received;
-  nic.bytes_received += p->size_bytes;
   ++packets_delivered_;
   if (observer_) observer_->on_packet_delivered(*p, now);
 

@@ -46,8 +46,6 @@ struct Nic {
   // Offered/accepted-load accounting (throughput metric, §4.2).
   std::uint64_t packets_injected = 0;
   std::uint64_t packets_received = 0;
-  std::int64_t bytes_injected = 0;
-  std::int64_t bytes_received = 0;
 
   // Times injection blocked on the local router's buffer space (credit
   // stall); surfaced through the observability counter registry (src/obs).

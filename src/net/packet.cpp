@@ -21,19 +21,6 @@ NodeId Packet::current_target() const {
   return destination;
 }
 
-bool Packet::advance_header(NodeId reached) {
-  bool moved = false;
-  // Skip every intermediate slot that resolves to the reached terminal (an
-  // MSP may legitimately name the same IN twice or an IN equal to a later
-  // target; the cursor must pass all of them in one visit).
-  while (header_id < 2 && current_target() == reached &&
-         current_target() != destination) {
-    ++header_id;
-    moved = true;
-  }
-  return moved;
-}
-
 int Packet::virtual_network() const {
   if (is_ack()) return kNumVirtualNetworks - 1;
   return header_id;  // 0..2, one escape class per MSP segment

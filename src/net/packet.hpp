@@ -133,10 +133,6 @@ struct Packet {
   /// Terminal the packet is currently heading for, given `header_id`.
   NodeId current_target() const;
 
-  /// Advance the header cursor past exhausted intermediate targets located
-  /// at terminal `here`'s router; returns true if the cursor moved.
-  bool advance_header(NodeId reached);
-
   /// Virtual network (escape-channel class, §3.2.8): one per MSP segment so
   /// the segment graph stays acyclic, plus a separate class for ACK traffic.
   int virtual_network() const;

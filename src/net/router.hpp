@@ -35,10 +35,8 @@ struct OutputPort {
   bool busy = false;      // currently serializing a packet onto the link
   bool waiting = false;   // registered as a waiter downstream
 
-  // Statistics for the latency surface map and the CFD module.
+  // Full-resolution link totals (the streaming telemetry's test reference).
   std::uint64_t packets_sent = 0;
-  SimTime total_wait = 0;     // accumulated contention latency
-  SimTime last_wait = 0;      // wait of the most recent departure
   SimTime busy_time = 0;      // total serialization time on this link
 
   // Times this port blocked on downstream buffer space (credit stall);
@@ -56,17 +54,11 @@ struct Router {
   // Senders blocked on each virtual network's buffer space.
   std::array<std::vector<Waiter>, kNumVirtualNetworks> waiters;
 
-  // Router-level statistics (latency surface map input, Eq. 4.7 figure).
+  // Packets this router sent on, over every port.
   std::uint64_t packets_forwarded = 0;
-  SimTime total_contention = 0;
 
   Router() = default;
   Router(RouterId rid, int radix) : id(rid), ports(radix) {}
-
-  /// Average contention latency over everything this router forwarded.
-  SimTime avg_contention() const {
-    return packets_forwarded ? total_contention / static_cast<double>(packets_forwarded) : 0.0;
-  }
 };
 
 }  // namespace prdrb

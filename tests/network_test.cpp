@@ -103,6 +103,54 @@ TEST(Network, MultiStepPathDelivers) {
   EXPECT_EQ(probe->acks[0].second.msp_index, 1);
 }
 
+// One forced-path message came through: delivered, its ACK echoes the MSP
+// index, and every router's buffer accounting is back at zero.
+void expect_forced_path_delivered(Harness& h, const ProbePolicy& probe,
+                                  std::int32_t msp_index) {
+  EXPECT_EQ(h.metrics->packets_delivered(), 1u);
+  ASSERT_EQ(probe.acks.size(), 1u);
+  EXPECT_EQ(probe.acks[0].second.msp_index, msp_index);
+  for (RouterId r = 0; r < h.net->num_routers(); ++r) {
+    for (int vn = 0; vn < kNumVirtualNetworks; ++vn) {
+      EXPECT_EQ(h.net->buffer_used(r, vn), 0)
+          << "router " << r << " vn " << vn;
+    }
+  }
+}
+
+// One 0 -> 15 message on mesh-4x4 along `path`, checked as above; returns
+// its latency.
+double forced_path_latency(PathChoice path) {
+  auto* probe = new ProbePolicy;
+  probe->forced = path;
+  probe->want_acks = true;
+  auto h = Harness::make<Mesh2D>(NetConfig{}, probe, 4, 4);
+  h.net->send_message(0, 15, 1024);
+  h.sim.run();
+  expect_forced_path_delivered(h, *probe, path.msp_index);
+  return h.metrics->packet_latency().overall_mean();
+}
+
+// The HDP step passes every header slot that names the router it is at, so
+// IN1 == IN2 is one waypoint: the same trip as naming the IN once.
+TEST(Network, RepeatedIntermediateIsOneWaypoint) {
+  EXPECT_DOUBLE_EQ(forced_path_latency({5, 5, 2}),
+                   forced_path_latency({5, kInvalidNode, 2}));
+}
+
+// Nodes 2 and 3 of tree-16 share a leaf router: reaching IN2 = 2 reaches
+// the destination's router, where the header steps on to the destination.
+TEST(Network, IntermediateOnTheDestinationRouterDelivers) {
+  auto* probe = new ProbePolicy;
+  probe->forced = PathChoice{kInvalidNode, 2, 3};
+  probe->want_acks = true;
+  auto h = Harness::make<KAryNTree>(NetConfig{}, probe, 2, 4);
+  ASSERT_EQ(h.topo->node_router(2), h.topo->node_router(3));
+  h.net->send_message(0, 3, 1024);
+  h.sim.run();
+  expect_forced_path_delivered(h, *probe, 3);
+}
+
 TEST(Network, MultiStepDetourTakesLongerThanDirect) {
   const auto run_with = [](PathChoice pc) {
     auto* probe = new ProbePolicy;

@@ -15,6 +15,8 @@ TEST(Packet, DirectPathTargetsDestination) {
   EXPECT_EQ(p.virtual_network(), 0);
 }
 
+// The header cursor itself is advanced by the network's HDP step
+// (Network::router_receive); network_test drives it end to end.
 TEST(Packet, TwoIntermediateTargetsInOrder) {
   Packet p;
   p.source = 0;
@@ -22,10 +24,10 @@ TEST(Packet, TwoIntermediateTargetsInOrder) {
   p.intermediate1 = 3;
   p.intermediate2 = 6;
   EXPECT_EQ(p.current_target(), 3);
-  EXPECT_TRUE(p.advance_header(3));
+  p.header_id = 1;
   EXPECT_EQ(p.current_target(), 6);
   EXPECT_EQ(p.virtual_network(), 1);
-  EXPECT_TRUE(p.advance_header(6));
+  p.header_id = 2;
   EXPECT_EQ(p.current_target(), 9);
   EXPECT_EQ(p.virtual_network(), 2);
 }
@@ -35,7 +37,7 @@ TEST(Packet, SingleIntermediateSkipsUnusedSlot) {
   p.destination = 9;
   p.intermediate1 = 4;
   EXPECT_EQ(p.current_target(), 4);
-  EXPECT_TRUE(p.advance_header(4));
+  p.header_id = 1;  // the unset IN2 slot falls through to the destination
   EXPECT_EQ(p.current_target(), 9);
 }
 
@@ -44,24 +46,8 @@ TEST(Packet, In2OnlyPathUsedWhenIn1Unset) {
   p.destination = 9;
   p.intermediate2 = 5;
   EXPECT_EQ(p.current_target(), 5);
-  EXPECT_TRUE(p.advance_header(5));
-  EXPECT_EQ(p.current_target(), 9);
-}
-
-TEST(Packet, AdvanceHeaderIgnoresWrongNode) {
-  Packet p;
-  p.destination = 9;
-  p.intermediate1 = 4;
-  EXPECT_FALSE(p.advance_header(7));
-  EXPECT_EQ(p.current_target(), 4);
-}
-
-TEST(Packet, DuplicateIntermediateAdvancesThroughBoth) {
-  Packet p;
-  p.destination = 9;
-  p.intermediate1 = 4;
-  p.intermediate2 = 4;
-  EXPECT_TRUE(p.advance_header(4));
+  EXPECT_EQ(p.virtual_network(), 0);
+  p.header_id = 2;
   EXPECT_EQ(p.current_target(), 9);
 }
 

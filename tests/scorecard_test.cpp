@@ -1,5 +1,4 @@
 // Predictive-efficacy scorecard tests (obs/scorecard):
-//   - LatencyHistogram::merge is exact (merged percentiles == single-pass)
 //   - attribution keys deliveries by traffic class and route kind
 //   - ledger splits latency before vs during multipath and tracks intervals
 //   - episode state machine: cold (SDB miss) vs warm (SDB hit), false opens,
@@ -8,13 +7,11 @@
 //     byte-identical across repeats and whatever other sinks are attached
 //   - the delivery fold is allocation-free in steady state (interposer)
 #include <cstdint>
-#include <random>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "experiment/scenario.hpp"
-#include "metrics/histogram.hpp"
 #include "net/packet.hpp"
 #include "obs/json.hpp"
 #include "obs/scorecard.hpp"
@@ -29,50 +26,6 @@ using obs::Scorecard;
 using Class = Scorecard::TrafficClass;
 using Route = Scorecard::RouteKind;
 using Phase = Scorecard::Phase;
-
-// ---------------------------------------------------------------------------
-// LatencyHistogram::merge exactness
-
-TEST(HistogramMerge, MergedPercentilesEqualSinglePass) {
-  std::mt19937_64 rng(42);
-  LatencyHistogram a, b, single;
-  // Two disjoint streams spanning the full bucket range, including samples
-  // that clamp into the edge buckets on both sides.
-  for (int i = 0; i < 5000; ++i) {
-    const double v = 1e-9 * std::pow(10.0, (rng() % 9000) / 1000.0);
-    a.record(v);
-    single.record(v);
-  }
-  for (int i = 0; i < 3000; ++i) {
-    const double v = 50e-9 + static_cast<double>(rng() % 1000) * 1e-6;
-    b.record(v);
-    single.record(v);
-  }
-  a.merge(b);
-  ASSERT_EQ(a.count(), single.count());
-  for (int bucket = 0; bucket < LatencyHistogram::kNumBuckets; ++bucket) {
-    ASSERT_EQ(a.bucket_count(bucket), single.bucket_count(bucket))
-        << "bucket " << bucket;
-  }
-  // Buckets equal => every percentile query is bit-identical, but assert the
-  // contract as stated anyway, across the whole quantile range.
-  for (double p = 0.0; p <= 1.0; p += 0.01) {
-    ASSERT_EQ(a.percentile(p), single.percentile(p)) << "p=" << p;
-  }
-}
-
-TEST(HistogramMerge, MergeWithEmptyIsIdentity) {
-  LatencyHistogram h, empty;
-  h.record(3e-6);
-  h.record(9e-6);
-  const SimTime p50 = h.p50();
-  h.merge(empty);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.p50(), p50);
-  empty.merge(h);  // merging into an empty histogram adopts the stream
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_EQ(empty.p50(), p50);
-}
 
 // ---------------------------------------------------------------------------
 // Attribution keying (direct hook calls)
