@@ -26,7 +26,7 @@ inline ScenarioSpec app_scenario(const std::string& app,
 }
 
 /// Routers with the highest average contention in `r`, hottest first.
-inline std::vector<RouterId> hottest_routers(const TraceResult& r, int n) {
+inline std::vector<RouterId> hottest_routers(const ScenarioResult& r, int n) {
   std::vector<std::pair<double, RouterId>> ranked;
   for (const auto& [router, pts] : r.router_series) {
     double sum = 0;
@@ -48,7 +48,7 @@ inline std::vector<RouterId> hottest_routers(const TraceResult& r, int n) {
 }
 
 inline void print_app_summary(const std::string& title,
-                              const std::vector<TraceResult>& results) {
+                              const std::vector<ScenarioResult>& results) {
   std::cout << "\n" << title << "\n";
   Table s({"policy", "global_lat_us", "exec_time_ms", "map_peak_us",
            "map_mean_us", "expansions", "installs", "patterns", "reused",
@@ -66,12 +66,12 @@ inline void print_app_summary(const std::string& title,
 
 /// Contention series of router `router` in each result, side by side.
 inline void print_router_series(RouterId router,
-                                const std::vector<TraceResult>& results) {
+                                const std::vector<ScenarioResult>& results) {
   std::vector<std::string> header{"time_ms"};
   for (const auto& r : results) header.push_back(r.policy + "_us");
   Table t(header);
   std::size_t bins = 0;
-  auto find = [&](const TraceResult& r)
+  auto find = [&](const ScenarioResult& r)
       -> const std::vector<std::pair<double, double>>* {
     for (const auto& [rt, pts] : r.router_series) {
       if (rt == router) return &pts;

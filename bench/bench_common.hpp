@@ -43,9 +43,6 @@ using prdrb::SweepJob;
 using prdrb::SyntheticWorkload;
 using prdrb::TraceWorkload;
 
-/// Older bench sources refer to trace results by this name.
-using TraceResult = ScenarioResult;
-
 /// Every output flag run_observed() acts on: what a bench that calls
 /// BenchMain::probe_scenario() honours.
 inline constexpr std::array<std::string_view, 11> kProbeFlags{
@@ -147,18 +144,17 @@ class BenchMain {
   /// unknown argument.
   static void apply_jobs(int argc, char** argv, int& i) {
     const std::string_view a = argv[i];
-    std::string_view flag = "--jobs";
-    std::string_view value;
-    if (a == flag && i + 1 < argc) {
-      value = argv[++i];
-    } else if (a.starts_with("--jobs=")) {
-      value = a.substr(7);
+    std::string_view flag = prdrb::flag_name(a);
+    std::string value;
+    if (flag == "--jobs") {
+      Parsed<std::string> v = prdrb::flag_value(argc, argv, i);
+      if (!v.ok()) reject(v.error().what());
+      value = std::move(v.value());
     } else if (a.starts_with("-j") && a.size() > 2) {
       flag = "-j";
       value = a.substr(2);
     } else {
-      reject(a == flag ? "missing value for '--jobs'"
-                       : "unknown option '" + std::string(a) + "'");
+      reject("unknown option '" + std::string(a) + "'");
     }
     const Parsed<int> jobs = prdrb::parse_jobs(flag, value);
     if (!jobs.ok()) reject(jobs.error().what());

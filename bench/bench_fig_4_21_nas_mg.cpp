@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                "===\n";
   struct ClassRow {
     char cls;
-    std::vector<TraceResult> results;
+    std::vector<ScenarioResult> results;
   };
   std::vector<ClassRow> rows;
   for (char cls : {'S', 'A', 'B'}) {
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
   // Figs 4.22/4.23: contention series of the two hottest class-A routers.
   const auto& class_a = rows[1].results;
-  std::vector<TraceResult> drb_vs_pr{class_a[1], class_a[2]};
+  std::vector<ScenarioResult> drb_vs_pr{class_a[1], class_a[2]};
   const auto hot = hottest_routers(class_a[1], 2);
   for (RouterId r : hot) print_router_series(r, drb_vs_pr);
   std::cout << "\n(Figs 4.22/4.23 shape: the curves overlap while PR-DRB "

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
             << " times (paper: 80 found, 7 repeated, one applied 279 "
                "times).\n";
 
-  std::vector<TraceResult> drb_vs_pr{drb, pr};
+  std::vector<ScenarioResult> drb_vs_pr{drb, pr};
   const auto hot = hottest_routers(drb, 1);
   for (RouterId r : hot) print_router_series(r, drb_vs_pr);
   return 0;

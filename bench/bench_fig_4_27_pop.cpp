@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   bench.manifest().add_config("topology", sc.topology);
   print_app_summary("Fig 4.27 — global latency & execution time:", results);
 
-  auto by_name = [&](const std::string& n) -> const TraceResult& {
+  auto by_name = [&](const std::string& n) -> const ScenarioResult& {
     for (const auto& r : results) {
       if (r.policy == n) return r;
     }
@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
 
   // Fig 4.28 / A.5-A.7: contention series of the hottest routers,
   // DRB vs PR-DRB and FR-DRB vs predictive FR-DRB.
-  std::vector<TraceResult> pair1{drb, pr};
-  std::vector<TraceResult> pair2{fr, prfr};
+  std::vector<ScenarioResult> pair1{drb, pr};
+  std::vector<ScenarioResult> pair2{fr, prfr};
   const auto hot = hottest_routers(drb, 2);
   for (RouterId r : hot) {
     print_router_series(r, pair1);

@@ -26,7 +26,8 @@ void usage() {
       R"(prdrb_sim — PR-DRB interconnection-network simulator
 
 options (synthetic traffic):
-  --topology <name>   mesh-WxH | torus-WxH | tree-{16,32,64,256} | kary-K-N |
+  --topology <name>   mesh-WxH | torus-WxH | N-D grids (mesh-4x4x4, ...) |
+                      cube-N | tree-{16,32,64,256} | kary-K-N |
                       dragonfly-A:G:H:P (A routers/group, G groups, H global
                       links/router, P terminals/router; default tree-64)
   --policy <name>     deterministic | random | cyclic | adaptive | minimal |
@@ -36,12 +37,15 @@ options (synthetic traffic):
   --pattern <name>    uniform | bit-reversal | perfect-shuffle |
                       matrix-transpose | bit-complement | tornado |
                       neighbor | butterfly | hotspot-cross | hotspot-double |
-                      adversarial-group (dragonfly only: next-group shift)
+                      adversarial-group (dragonfly only: next-group shift);
+                      the bit permutations need a power-of-two node count,
+                      hotspot-* a 2D mesh or torus (hotspot-double at least
+                      4 routers wide)
   --rate <bps>        per-node injection rate (default 400e6)
   --duration <s>      simulated seconds (default 10e-3)
   --bursts <n>        bursty injection: n bursts of --burst-len (default 0
                       = continuous)
-  --burst-len <s>     burst length (default 2e-3)
+  --burst-len <s>     burst length (default 3e-3)
   --gap <s>           gap between bursts (default 2e-3)
   --noise <bps>       uniform background load (default 0)
   --seeds <n>         replicated runs, reported mean ± 95% CI (default 1)
@@ -49,13 +53,16 @@ options (synthetic traffic):
   --jobs <n>          parallel sweep workers for replicated runs (default
                       PRDRB_JOBS env, else hardware concurrency; results
                       are identical at any worker count)
+  --rate, --duration and --burst-len must be > 0, --gap, --noise and
+  --bursts >= 0, and a run may offer at most 2^22 packets (nodes x
+  (rate + noise) x duration / packet bits)
 
 options (application trace; overrides --pattern):
   --app <name>        pop | nas-lu | nas-mg-{s,a,b} | nas-ft-{a,b} |
                       lammps-{chain,comb} | sweep3d | smg2000
-  --iterations <n>    trace time steps (default 8)
-  --bytes-scale <f>   message-volume multiplier (default 1.0)
-  --compute-scale <f> compute-time multiplier (default 1.0)
+  --iterations <n>    trace time steps, 1 to 256 (default 8)
+  --bytes-scale <f>   message-volume multiplier, 0 to 192 (default 1.0)
+  --compute-scale <f> compute-time multiplier, 0 to 16 (default 1.0)
 
 solution database (DESIGN.md "Indexed solution database"):
   --sdb-in <path>       warm-start predictive policies from a previously
@@ -95,14 +102,6 @@ observability (DESIGN.md "Observability"):
 )";
 }
 
-std::string str_arg(const std::string& flag, int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    throw std::invalid_argument(
-        ParseError{flag, "flag", "missing value for", ""}.what());
-  }
-  return argv[++i];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,20 +125,10 @@ int main(int argc, char** argv) {
         return 2;
       }
       if (!flag.value().empty()) continue;
-      std::string a = argv[i];
-      // Accept "--flag=value" as well as "--flag value", like the bench
-      // binaries do.
-      std::string inline_val;
-      bool has_inline = false;
-      if (a.rfind("--", 0) == 0) {
-        if (const auto eq = a.find('='); eq != std::string::npos) {
-          inline_val = a.substr(eq + 1);
-          a = a.substr(0, eq);
-          has_inline = true;
-        }
-      }
-      const auto sval = [&]() -> std::string {
-        return has_inline ? inline_val : str_arg(a, argc, argv, i);
+      // "--flag=value" or "--flag value", like the bench binaries.
+      const std::string a(flag_name(argv[i]));
+      const auto sval = [&] {
+        return flag_value(argc, argv, i).value_or_throw();
       };
       // Numbers parse whole and finite ("4e8x", "nan" and, for a count,
       // "2.7" exit 2 naming the flag).
@@ -197,17 +186,6 @@ int main(int argc, char** argv) {
     sc.sdb_in = out.sdb_in;
     sc.sdb_out = out.sdb_out;
     if (out.manifest_out.empty()) out.manifest_out = "prdrb_sim.manifest.json";
-
-    // Validate the name-shaped flags up front so a typo yields one typed
-    // error (with a nearest-name suggestion) instead of a mid-run throw.
-    if (const auto parsed = make_topology(sc.topology); !parsed.ok()) {
-      std::cerr << "error: " << parsed.error().what() << "\n";
-      return 2;
-    }
-    if (const auto parsed = make_policy(policy); !parsed.ok()) {
-      std::cerr << "error: " << parsed.error().what() << "\n";
-      return 2;
-    }
 
     RunManifest manifest("prdrb_sim");
     manifest.set_seed(sc.seed);

@@ -4,17 +4,18 @@
 // predictive module's learning statistics.
 //
 //   ./build/examples/trace_replay [app] [policy]
-//   app    in {pop, nas-lu, nas-mg-a, nas-mg-b, lammps-chain, lammps-comb,
-//             sweep3d}           (default pop)
-//   policy any name make_policy knows (default pr-drb); an unknown name
-//          exits 2 with the nearest known name suggested
+//   app    in {pop, nas-lu, nas-mg-s, nas-mg-a, nas-mg-b, nas-ft-a,
+//             nas-ft-b, lammps-chain, lammps-comb, sweep3d, smg2000}
+//          (default pop)
+//   policy any name make_policy knows (default pr-drb)
+// The scenario (tree-64, the app, the policy) goes through check_scenario:
+// an unknown app or policy exits 2 with the nearest known name suggested.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 
 #include "experiment/scenario.hpp"
 #include "metrics/collector.hpp"
-#include "net/kary_ntree.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
@@ -24,21 +25,28 @@
 using namespace prdrb;
 
 int main(int argc, char** argv) {
-  const std::string app = argc > 1 ? argv[1] : "pop";
-  const std::string policy_name = argc > 2 ? argv[2] : "pr-drb";
-
-  Simulator sim;
-  KAryNTree topo(4, 3);
-  NetConfig cfg;
+  ScenarioSpec sc;
+  sc.topology = "tree-64";
   // DrbConfig{}: this example runs DRB's own 6/12 us zone thresholds, not
   // the evaluation's default_drb_config().
-  Parsed<PolicyBundle> parsed = make_policy(policy_name, DrbConfig{});
-  if (!parsed.ok()) {
-    std::cerr << "error: " << parsed.error().what() << "\n";
+  sc.drb = DrbConfig{};
+  TraceWorkload& w = sc.trace();
+  w.app = argc > 1 ? argv[1] : "pop";
+  w.scale.iterations = 8;
+  w.scale.bytes_scale = 8.0;
+  w.scale.compute_scale = 0.5;
+  const std::string& app = w.app;
+  const std::string policy_name = argc > 2 ? argv[2] : "pr-drb";
+  Parsed<CheckedScenario> checked = check_scenario(policy_name, sc);
+  if (!checked.ok()) {
+    std::cerr << "error: " << checked.error().what() << "\n";
     return 2;
   }
-  PolicyBundle& bundle = parsed.value();
-  Network net(sim, topo, cfg, *bundle.policy);
+  const Topology& topo = *checked.value().topology;
+  PolicyBundle& bundle = checked.value().bundle;
+
+  Simulator sim;
+  Network net(sim, topo, sc.net, *bundle.policy);
   if (bundle.monitor) net.set_monitor(bundle.monitor.get());
   if (bundle.engine) {
     // Warm start from a previous run's exported database, if present.
@@ -53,11 +61,7 @@ int main(int argc, char** argv) {
   MetricsCollector metrics(topo.num_nodes(), topo.num_routers());
   net.set_observer(&metrics);
 
-  TraceScale scale;
-  scale.iterations = 8;
-  scale.bytes_scale = 8.0;
-  scale.compute_scale = 0.5;
-  const TraceProgram prog = make_app_trace(app, topo.num_nodes(), scale);
+  const TraceProgram prog = make_app_trace(app, topo.num_nodes(), w.scale);
   std::cout << "replaying " << prog.app_name() << " (" << prog.ranks()
             << " ranks, " << prog.total_events() << " trace events) under "
             << bundle.policy->name() << "\n";

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -24,9 +25,24 @@ double rel(double base, double now) {
   return (now - base) / base;
 }
 
-// A count as its integer digits.
+// The largest double below 2^64, and so the largest count a std::uint64_t
+// holds exactly.
+constexpr double kMaxU64 = 18446744073709549568.0;
+
+// A count as its integer digits; a value outside [0, 2^64), whose cast is
+// undefined, as its JSON number.
 std::string count(double v) {
+  if (!(v >= 0 && v <= kMaxU64)) return obs::json_number(v);
   return std::to_string(static_cast<std::uint64_t>(v));
+}
+
+// The whole number at `key` (`fallback` when absent) when it lies in
+// [0, max], else nullopt.
+std::optional<double> whole(const JsonValue& doc, std::string_view key,
+                            double max, double fallback = 0) {
+  const double v = doc.number_at(key, fallback);
+  if (!(v >= 0 && v <= max) || v != std::floor(v)) return std::nullopt;
+  return v;
 }
 
 std::string pct(double fraction) {
@@ -37,25 +53,35 @@ std::string pct(double fraction) {
 
 // --- one reader per schema; each returns nullopt on another schema ---
 
+// A manifest whose seed, jobs, runs or events is not a whole number in its
+// field's range is malformed: nullopt, like another schema.
 std::optional<ManifestInfo> read_manifest(const JsonValue& doc) {
   if (doc.string_at("schema") != kManifestSchema) return std::nullopt;
+  constexpr double kMaxInt = std::numeric_limits<int>::max();
+  const auto seed = whole(doc, "seed", kMaxU64);
+  const auto jobs = whole(doc, "jobs", kMaxInt, 1);
+  const auto events = whole(doc, "events", kMaxU64);
+  if (!seed || !jobs || !events) return std::nullopt;
   ManifestInfo out;
   out.tool = doc.string_at("tool");
-  out.seed = static_cast<std::uint64_t>(doc.number_at("seed"));
-  out.jobs = static_cast<int>(doc.number_at("jobs", 1));
+  out.seed = static_cast<std::uint64_t>(*seed);
+  out.jobs = static_cast<int>(*jobs);
   out.wall_s = doc.number_at("wall_s");
-  out.events = doc.number_at("events");
+  out.events = *events;
   out.events_per_sec = doc.number_at("events_per_sec");
   if (const JsonValue* pols = doc.find("policies"); pols && pols->is_array()) {
     for (const JsonValue& p : pols->items()) {
+      const auto runs = whole(p, "runs", kMaxInt);
+      const auto pol_events = whole(p, "events", kMaxU64);
+      if (!runs || !pol_events) return std::nullopt;
       ManifestInfo::Policy pol;
       pol.name = p.string_at("policy");
-      pol.runs = static_cast<int>(p.number_at("runs"));
+      pol.runs = static_cast<int>(*runs);
       pol.global_latency_us = p.number_at("global_latency_us");
       pol.mean_latency_us = p.number_at("mean_latency_us");
       pol.delivery_ratio = p.number_at("delivery_ratio");
       pol.packets = p.number_at("packets");
-      pol.events = p.number_at("events");
+      pol.events = *pol_events;
       out.policies.push_back(std::move(pol));
     }
   }
@@ -288,7 +314,7 @@ ResultsDir collect_documents(const std::string& dir) {
     } else if (parse_stream(text, stream)) {
       stream.path = path;
       out.streams.push_back(std::move(stream));
-    } else if (whole) {
+    } else {
       out.skipped.push_back(std::move(path));
     }
   }
@@ -318,8 +344,8 @@ void write_markdown_report(std::ostream& os,
     os << "| " << std::filesystem::path(m.path).filename().string() << " | "
        << m.tool << " | " << m.seed << " | " << m.jobs << " | "
        << obs::json_number(m.wall_s) << " | "
-       << static_cast<std::uint64_t>(m.events) << " | "
-       << static_cast<std::uint64_t>(m.events_per_sec) << " |\n";
+       << count(m.events) << " | "
+       << count(m.events_per_sec) << " |\n";
   }
 
   os << "\n## Policies\n\n";
@@ -334,7 +360,7 @@ void write_markdown_report(std::ostream& os,
          << obs::json_number(p.global_latency_us) << " | "
          << obs::json_number(p.mean_latency_us) << " | "
          << obs::json_number(p.delivery_ratio) << " | "
-         << static_cast<std::uint64_t>(p.packets) << " |\n";
+         << count(p.packets) << " |\n";
     }
   }
 
@@ -385,15 +411,15 @@ void write_markdown_report(std::ostream& os,
     os << "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
     for (const ScorecardInfo& s : scorecards) {
       os << "| " << std::filesystem::path(s.path).filename().string() << " | "
-         << static_cast<std::uint64_t>(s.deliveries) << " | "
-         << static_cast<std::uint64_t>(s.sdb_hits) << " | "
-         << static_cast<std::uint64_t>(s.sdb_misses) << " | "
-         << static_cast<std::uint64_t>(s.sdb_saves) << " | "
-         << static_cast<std::uint64_t>(s.sdb_empty_probes) << " | "
-         << static_cast<std::uint64_t>(s.opens) << " | "
-         << static_cast<std::uint64_t>(s.closes) << " | "
+         << count(s.deliveries) << " | "
+         << count(s.sdb_hits) << " | "
+         << count(s.sdb_misses) << " | "
+         << count(s.sdb_saves) << " | "
+         << count(s.sdb_empty_probes) << " | "
+         << count(s.opens) << " | "
+         << count(s.closes) << " | "
          << obs::json_number(s.multipath_s) << " | "
-         << static_cast<std::uint64_t>(s.flows) << " |\n";
+         << count(s.flows) << " |\n";
     }
 
     os << "\n## Warm vs cold SDB efficacy\n\n";
@@ -407,15 +433,15 @@ void write_markdown_report(std::ostream& os,
     os << "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
     for (const ScorecardInfo& s : scorecards) {
       os << "| " << std::filesystem::path(s.path).filename().string() << " | "
-         << static_cast<std::uint64_t>(s.cold.count) << " | "
+         << count(s.cold.count) << " | "
          << obs::json_number(s.cold.mean_latency_us) << " | "
          << obs::json_number(s.cold.mean_duration_us) << " | "
-         << static_cast<std::uint64_t>(s.warm.count) << " | "
+         << count(s.warm.count) << " | "
          << obs::json_number(s.warm.mean_latency_us) << " | "
          << obs::json_number(s.warm.mean_duration_us) << " | "
          << obs::json_number(s.hit_efficacy_pct) << " | "
          << obs::json_number(s.convergence_ratio) << " | "
-         << static_cast<std::uint64_t>(s.false_opens) << " | "
+         << count(s.false_opens) << " | "
          << obs::json_number(s.false_open_rate) << " |\n";
     }
   }
@@ -428,14 +454,14 @@ void write_markdown_report(std::ostream& os,
     for (const StreamInfo& s : streams) {
       os << "| " << std::filesystem::path(s.path).filename().string() << " | "
          << obs::json_number(s.t) << " | "
-         << static_cast<std::uint64_t>(s.windows) << " | "
-         << static_cast<std::uint64_t>(s.links) << " | "
+         << count(s.windows) << " | "
+         << count(s.links) << " | "
          << obs::json_number(s.util_p50) << " | "
          << obs::json_number(s.util_p95) << " | "
          << obs::json_number(s.util_p99) << " | "
-         << static_cast<std::uint64_t>(s.onsets) << " | "
-         << static_cast<std::uint64_t>(s.opens_predictive) << "/"
-         << static_cast<std::uint64_t>(s.opens_reactive) << " | "
+         << count(s.onsets) << " | "
+         << count(s.opens_predictive) << "/"
+         << count(s.opens_reactive) << " | "
          << obs::json_number(s.state_bytes / 1024.0) << " |\n";
     }
 
@@ -470,10 +496,10 @@ void write_markdown_report(std::ostream& os,
         for (const auto& row : rows) {
           if (!(row.c->links > 0)) continue;
           os << "| " << file << " | " << row.name << " | "
-             << static_cast<std::uint64_t>(row.c->links) << " | "
+             << count(row.c->links) << " | "
              << obs::json_number(row.c->busy_s) << " | "
-             << static_cast<std::uint64_t>(row.c->stalls) << " | "
-             << static_cast<std::uint64_t>(row.c->packets) << " |\n";
+             << count(row.c->stalls) << " | "
+             << count(row.c->packets) << " |\n";
         }
       }
     }
@@ -492,11 +518,11 @@ void write_markdown_report(std::ostream& os,
       for (const StreamInfo::Lead& l : s.leads) {
         if (l.pos + l.neg == 0) continue;  // class never matched an onset
         os << "| " << file << " | " << l.cls << " | "
-           << static_cast<std::uint64_t>(l.pos) << " | "
-           << static_cast<std::uint64_t>(l.neg) << " | "
+           << count(l.pos) << " | "
+           << count(l.neg) << " | "
            << obs::json_number(l.median_s * 1e6) << " | "
            << obs::json_number(l.pos_p95_s * 1e6) << " | "
-           << static_cast<std::uint64_t>(l.predictive) << " |\n";
+           << count(l.predictive) << " |\n";
       }
     }
   }
@@ -632,14 +658,14 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
   const CheckDoc a(older), b(newer);
   if (!a.known()) {
     add(Finding::Level::kRegression,
-        "old document has unknown schema \"" + older.string_at("schema") +
-            "\"");
+        "old document is malformed or has unknown schema \"" +
+            older.string_at("schema") + "\"");
     return result;
   }
   if (!b.known()) {
     add(Finding::Level::kRegression,
-        "new document has unknown schema \"" + newer.string_at("schema") +
-            "\"");
+        "new document is malformed or has unknown schema \"" +
+            newer.string_at("schema") + "\"");
     return result;
   }
 

@@ -137,16 +137,16 @@ struct ResultsDir {
   std::vector<ManifestInfo> manifests;
   std::vector<ScorecardInfo> scorecards;
   std::vector<StreamInfo> streams;
-  /// *.json files that hold none of the three schemas (other exports,
-  /// empty or partially-written files).
+  /// Files that hold none of the three schemas (other exports, malformed
+  /// manifests, empty or partially-written files).
   std::vector<std::string> skipped;
 };
 
 /// Read every *.json and *.ndjson file under `dir` once (non-recursive) and
 /// sort it into exactly one list. A .json file holds a manifest or a
 /// scorecard when it parses whole, else a stream when a line does; either
-/// extension may hold a stream. A .ndjson file with no stream line is
-/// ignored rather than skipped. A missing directory reads as empty.
+/// extension may hold a stream, and a file of either with none of these is
+/// skipped. A missing directory reads as empty.
 ResultsDir collect_documents(const std::string& dir);
 
 /// Markdown sweep report over collected manifests (and, when present,
@@ -202,7 +202,8 @@ struct CheckResult {
 std::optional<obs::JsonValue> read_document(std::string_view text);
 
 /// Compare two parsed documents of the accepted schemas, each read through
-/// its schema's reader; an unknown schema on either side is a regression.
+/// its schema's reader; an unknown schema or a malformed manifest on either
+/// side is a regression.
 /// Event-count drift is always a regression — seeded runs are bit-exact, so
 /// a drift means behaviour changed; performance moves beyond thresholds are
 /// regressions unless `perf_warn_only` downgrades them.

@@ -1,11 +1,13 @@
 #include "experiment/scenario.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 
 #include "metrics/collector.hpp"
@@ -102,6 +104,88 @@ ParseError topology_error(const std::string& name, std::string message) {
   e.message = std::move(message);
   e.suggestion = nearest_name(name, kTopologyNames);
   return e;
+}
+
+template <typename T>
+std::string str(T value) {
+  std::ostringstream os;
+  os << value;
+  return os.str();
+}
+
+/// "<field> must be <range>, got '<value>'".
+template <typename T>
+ParseError field_error(const std::string& field, T value,
+                       const std::string& range) {
+  return ParseError{str(value), "spec", field + " must be " + range + ", got",
+                    ""};
+}
+
+bool positive(double v) { return std::isfinite(v) && v > 0; }
+bool non_negative(double v) { return std::isfinite(v) && v >= 0; }
+/// In [0, cap]; NaN fails both comparisons.
+bool within(double v, double cap) { return v >= 0 && v <= cap; }
+
+/// A name table's names, for nearest-name suggestions.
+template <typename Table>
+std::vector<std::string_view> names_of(const Table& table) {
+  std::vector<std::string_view> names;
+  for (const auto& entry : table) names.push_back(entry.name);
+  return names;
+}
+
+/// The traffic of pattern `name` on `topo` (named `topology`), or why that
+/// pattern cannot run there.
+Parsed<CheckedScenario::Traffic> resolve_traffic(const std::string& name,
+                                                 const std::string& topology,
+                                                 const Topology& topo) {
+  const auto unfit = [&](const std::string& what) {
+    return ParseError{name, "pattern",
+                      topology + " " + what + " needed for pattern", ""};
+  };
+  CheckedScenario::Traffic t;
+  if (name == "hotspot-cross" || name == "hotspot-double") {
+    const auto* mesh = dynamic_cast<const Mesh2D*>(&topo);
+    if (!mesh) return unfit("is not the 2D mesh or torus");
+    // The double layout reaches one router past each of its two centres,
+    // at x = w/3 and 2w/3.
+    if (name == "hotspot-double" && mesh->width() < 4) {
+      return unfit("is narrower than the 4 routers");
+    }
+    auto hp = std::make_unique<HotspotPattern>(
+        name == "hotspot-cross" ? make_mesh_cross_hotspot(*mesh, 8)
+                                : make_mesh_double_hotspot(*mesh));
+    t.sources = hp->sources();
+    t.pattern = std::move(hp);
+    return t;
+  }
+  if (name == "adversarial-group") {
+    // Group-shift permutation: every terminal targets its peer in the next
+    // group, funnelling all minimal traffic of a group onto the q parallel
+    // global channels toward its successor.
+    const auto* df = dynamic_cast<const Dragonfly*>(&topo);
+    if (!df) return unfit("is not the dragonfly");
+    t.pattern = std::make_unique<GroupShiftPattern>(df->num_nodes(),
+                                                    df->a() * df->p());
+    return t;
+  }
+  const auto table = pattern_table();
+  const auto p = std::ranges::find(table, name, &NamedPattern::name);
+  if (p == table.end()) {
+    std::vector<std::string_view> names = names_of(table);
+    names.insert(names.end(),
+                 {"hotspot-cross", "hotspot-double", "adversarial-group"});
+    return ParseError{name, "pattern", "unknown pattern",
+                      nearest_name(name, names)};
+  }
+  const int nodes = topo.num_nodes();
+  if (p->needs_power_of_two &&
+      !std::has_single_bit(static_cast<unsigned>(nodes))) {
+    return unfit("has " + std::to_string(nodes) +
+                 " nodes, not the power of two");
+  }
+  t.pattern = p->make(nodes);
+  return t;
 }
 
 }  // namespace
@@ -478,13 +562,77 @@ RunProbes::RunProbes(Simulator& sim, Network& net, PolicyBundle& b,
 
 }  // namespace
 
+Parsed<CheckedScenario> check_scenario(const std::string& policy,
+                                       const ScenarioSpec& spec) {
+  Parsed<std::unique_ptr<Topology>> topology = make_topology(spec.topology);
+  if (!topology.ok()) return topology.error();
+  Parsed<PolicyBundle> bundle = make_policy(policy, spec.drb, 7, spec.prdrb);
+  if (!bundle.ok()) return bundle.error();
+  CheckedScenario out{std::move(topology.value()), std::move(bundle.value()),
+                      {}};
+  if (!spec.is_synthetic()) {
+    const TraceWorkload& w = spec.trace();
+    if (std::ranges::find(app_table(), w.app, &NamedApp::name) ==
+        app_table().end()) {
+      return ParseError{w.app, "app", "unknown app",
+                        nearest_name(w.app, names_of(app_table()))};
+    }
+    const TraceScale& s = w.scale;
+    if (s.iterations < 1 || s.iterations > kMaxTraceIterations) {
+      return field_error("iterations", s.iterations,
+                         "in [1, " + str(kMaxTraceIterations) + "]");
+    }
+    if (!within(s.bytes_scale, kMaxTraceBytesScale)) {
+      return field_error("bytes_scale", s.bytes_scale,
+                         "in [0, " + str(kMaxTraceBytesScale) + "]");
+    }
+    if (!within(s.compute_scale, kMaxTraceComputeScale)) {
+      return field_error("compute_scale", s.compute_scale,
+                         "in [0, " + str(kMaxTraceComputeScale) + "]");
+    }
+    return out;
+  }
+  const SyntheticWorkload& w = spec.synthetic();
+  Parsed<CheckedScenario::Traffic> traffic =
+      resolve_traffic(w.pattern, spec.topology, *out.topology);
+  if (!traffic.ok()) return traffic.error();
+  out.traffic = std::move(traffic.value());
+  if (!positive(w.rate_bps)) {
+    return field_error("rate_bps", w.rate_bps, "finite and > 0");
+  }
+  if (!positive(w.duration)) {
+    return field_error("duration", w.duration, "finite and > 0");
+  }
+  if (!positive(w.burst_len)) {
+    return field_error("burst_len", w.burst_len, "finite and > 0");
+  }
+  if (!non_negative(w.gap_len)) {
+    return field_error("gap_len", w.gap_len, "finite and >= 0");
+  }
+  if (!non_negative(w.noise_rate_bps)) {
+    return field_error("noise_rate_bps", w.noise_rate_bps, "finite and >= 0");
+  }
+  if (w.bursts < 0) return field_error("bursts", w.bursts, ">= 0");
+  const double offered = out.topology->num_nodes() *
+                         (w.rate_bps + w.noise_rate_bps) * w.duration /
+                         (8.0 * spec.net.packet_bytes);
+  if (!(offered <= kMaxOfferedPackets)) {
+    return field_error(
+        "offered packets (nodes x (rate_bps + noise_rate_bps) x duration / "
+        "packet bits)",
+        offered, "at most " + str(kMaxOfferedPackets));
+  }
+  return out;
+}
+
 ScenarioResult run_scenario(const std::string& policy_name,
                             const ScenarioSpec& sc) {
-  auto topo = make_topology(sc.topology).value_or_throw();
+  CheckedScenario checked = check_scenario(policy_name, sc).value_or_throw();
+  const Topology& topo = *checked.topology;
+  PolicyBundle& bundle = checked.bundle;
   Simulator sim;
-  auto bundle = make_policy(policy_name, sc.drb, 7, sc.prdrb).value_or_throw();
-  Network net(sim, *topo, sc.net, *bundle.policy);
-  MetricsCollector metrics(topo->num_nodes(), topo->num_routers(),
+  Network net(sim, topo, sc.net, *bundle.policy);
+  MetricsCollector metrics(topo.num_nodes(), topo.num_routers(),
                            sc.bin_width);
   for (RouterId r : sc.watch) metrics.watch_router(r);
   net.set_observer(&metrics);
@@ -513,33 +661,6 @@ ScenarioResult run_scenario(const std::string& policy_name,
 
   if (sc.is_synthetic()) {
     const SyntheticWorkload& w = sc.synthetic();
-    std::unique_ptr<DestinationPattern> pattern;
-    std::vector<NodeId> nodes;
-    if (w.pattern == "hotspot-cross" || w.pattern == "hotspot-double") {
-      auto* mesh = dynamic_cast<Mesh2D*>(topo.get());
-      if (!mesh) {
-        throw std::invalid_argument("hot-spot layouts require a mesh/torus");
-      }
-      auto hp = std::make_unique<HotspotPattern>(
-          w.pattern == "hotspot-cross" ? make_mesh_cross_hotspot(*mesh, 8)
-                                       : make_mesh_double_hotspot(*mesh));
-      nodes = hp->sources();
-      pattern = std::move(hp);
-    } else if (w.pattern == "adversarial-group") {
-      // Group-shift permutation: every terminal targets its peer in the
-      // next group, funnelling all minimal traffic of a group onto the q
-      // parallel global channels toward its successor.
-      auto* df = dynamic_cast<Dragonfly*>(topo.get());
-      if (!df) {
-        throw std::invalid_argument(
-            "the adversarial-group pattern requires a dragonfly topology");
-      }
-      pattern = std::make_unique<GroupShiftPattern>(df->num_nodes(),
-                                                    df->a() * df->p());
-    } else {
-      pattern = make_pattern(w.pattern, topo->num_nodes());
-    }
-
     TrafficConfig tc;
     tc.rate_bps = w.rate_bps;
     tc.message_bytes = sc.net.packet_bytes;
@@ -550,14 +671,14 @@ ScenarioResult run_scenario(const std::string& policy_name,
       schedule = std::make_unique<BurstSchedule>(0.5e-3, w.burst_len,
                                                  w.gap_len, w.bursts);
     }
-    TrafficGenerator gen(sim, net, *pattern, tc, sc.seed, nodes,
-                         schedule.get());
+    TrafficGenerator gen(sim, net, *checked.traffic.pattern, tc, sc.seed,
+                         std::move(checked.traffic.sources), schedule.get());
     gen.start();
 
     std::unique_ptr<UniformPattern> noise_pattern;
     std::unique_ptr<TrafficGenerator> noise;
     if (w.noise_rate_bps > 0) {
-      noise_pattern = std::make_unique<UniformPattern>(topo->num_nodes());
+      noise_pattern = std::make_unique<UniformPattern>(topo.num_nodes());
       TrafficConfig nc = tc;
       nc.rate_bps = w.noise_rate_bps;
       noise = std::make_unique<TrafficGenerator>(sim, net, *noise_pattern,
@@ -569,7 +690,7 @@ ScenarioResult run_scenario(const std::string& policy_name,
   } else {
     const TraceWorkload& w = sc.trace();
     const TraceProgram prog =
-        make_app_trace(w.app, topo->num_nodes(), w.scale);
+        make_app_trace(w.app, topo.num_nodes(), w.scale);
     TracePlayer player(sim, net, prog);
     player.start();
     run();
@@ -577,7 +698,7 @@ ScenarioResult run_scenario(const std::string& policy_name,
   }
 
   r.events = sim.events_executed();
-  fill_common(r, metrics, bundle, topo->num_routers(), sc.watch);
+  fill_common(r, metrics, bundle, topo.num_routers(), sc.watch);
   if (bundle.engine && !sc.sdb_out.empty()) {
     // Deterministic sorted export (binary mode: no platform newline
     // translation) — byte-identical across runs and jobs.
@@ -608,36 +729,27 @@ Parsed<std::string> parse_output_flag(int argc, char** argv, int& i,
     flags.watchdog = kDefaultWatchdogWindow;
     return std::string(arg);
   }
-  const std::size_t eq = arg.find('=');
-  const std::string name(arg.substr(0, eq));
+  const std::string name(flag_name(arg));
   std::string* path = nullptr;
   for (const PathFlag& f : kPathFlags) {
     if (name == f.name) path = &(flags.*f.field);
   }
   double* seconds = nullptr;
   if (name == "--stream-interval") seconds = &flags.stream_interval;
-  // --watchdog takes its window only inline: a bare --watchdog never
-  // consumes the next argument.
-  if (name == "--watchdog" && eq != std::string_view::npos) {
-    seconds = &flags.watchdog;
-  }
+  // A bare --watchdog, taken above, never consumes the next argument, so
+  // this one carries its window inline.
+  if (name == "--watchdog") seconds = &flags.watchdog;
   if (!path && !seconds) return std::string();
 
-  std::string value;
-  if (eq != std::string_view::npos) {
-    value = std::string(arg.substr(eq + 1));
-  } else if (i + 1 < argc) {
-    value = argv[++i];
-  } else {
-    return ParseError{name, "flag", "missing value for", ""};
-  }
+  Parsed<std::string> value = flag_value(argc, argv, i);
+  if (!value.ok()) return value;
   if (path) {
-    *path = std::move(value);
+    *path = std::move(value.value());
     return name;
   }
-  const Parsed<double> v = parse_number<double>(name, value);
+  const Parsed<double> v = parse_number<double>(name, value.value());
   if (!v.ok() || !(v.value() > 0)) {
-    return ParseError{value, "flag",
+    return ParseError{value.value(), "flag",
                       name + " needs a positive number of seconds, got", ""};
   }
   *seconds = v.value();

@@ -10,11 +10,13 @@
 // shared knobs (topology, seed, bin width, network/DRB/PR-DRB configs,
 // watch list, observability sinks) and a
 // std::variant<SyntheticWorkload, TraceWorkload> for the part that differs.
-// run_scenario() is the single entry point; run_observed() wraps it for the
-// command-line front ends, which parse their file flags through
-// parse_output_flag().
+// run_scenario() is the single entry point and check_scenario(), which it
+// calls first, the one place that holds the rules a spec must meet;
+// run_observed() wraps it for the command-line front ends, which parse
+// their file flags through parse_output_flag().
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -106,9 +108,10 @@ Parsed<PolicyBundle> make_policy(const std::string& name,
                                  std::uint64_t seed = 7,
                                  PrDrbConfig prdrb = {});
 
-/// Topology factory: "mesh-WxH", "torus-WxH", "cube-n", "tree-N" (N in
-/// {16,32,64,256}) or explicit "kary-K-N". Unknown or malformed names come
-/// back as a ParseError with the nearest known shape suggested.
+/// Topology factory: "mesh-WxH", "torus-WxH", N-D grids such as
+/// "mesh-4x4x4", "cube-n", "tree-N" (N in {16,32,64,256}), explicit
+/// "kary-K-N" or "dragonfly-a:g:h:p". Unknown or malformed names come back
+/// as a ParseError with the nearest known shape suggested.
 Parsed<std::unique_ptr<Topology>> make_topology(const std::string& name);
 
 /// Everything a finished scenario reports.
@@ -144,8 +147,9 @@ struct ScenarioResult {
 
 /// Synthetic-traffic workload (Tables 4.2/4.3 style).
 struct SyntheticWorkload {
-  /// Pattern name from traffic/pattern.hpp, or "hotspot-cross" /
-  /// "hotspot-double" for the §4.5 mesh layouts.
+  /// Pattern name from traffic/pattern.hpp, "hotspot-cross" /
+  /// "hotspot-double" for the §4.5 mesh layouts, or "adversarial-group"
+  /// for the dragonfly group shift.
   std::string pattern = "perfect-shuffle";
   double rate_bps = 400e6;
   SimTime duration = 30e-3;
@@ -207,8 +211,56 @@ struct ScenarioSpec {
   }
 };
 
+/// Caps on a spec's size (check_scenario), each derived from the largest
+/// value the repo runs. Offered packets of a synthetic workload, counted as
+/// if every node injected rate_bps + noise_rate_bps for the whole duration:
+/// the largest shipped spec, perfbench's mesh8-hotspot-prdrb, offers 6.0e5
+/// (64 nodes x 1.2 Gb/s x 64.5 ms / 8192 bits), so 2^22 leaves 7x headroom.
+/// An overloaded run queues nearly every offered packet at once, about
+/// 260 B each: 2^22 of them hold about 1 GB, 2^24 more than 2 GB.
+inline constexpr std::int64_t kMaxOfferedPackets = std::int64_t{1} << 22;
+/// Trace scales: 16x the largest shipped value of each, 16 iterations
+/// (bench_fig_4_24), bytes x12 (bench_fig_4_20) and compute x1 (the
+/// default, which the golden corpus and perfbench run).
+inline constexpr int kMaxTraceIterations = 16 * 16;
+inline constexpr double kMaxTraceBytesScale = 16 * 12.0;
+inline constexpr double kMaxTraceComputeScale = 16 * 1.0;
+
+/// What check_scenario built while checking a spec, so that run_scenario
+/// builds nothing twice.
+struct CheckedScenario {
+  std::unique_ptr<Topology> topology;
+  PolicyBundle bundle;
+  /// A synthetic workload's destination pattern and the nodes that inject
+  /// (empty = every node); both empty for a trace workload.
+  struct Traffic {
+    std::unique_ptr<DestinationPattern> pattern;
+    std::vector<NodeId> sources;
+  } traffic;
+};
+
+/// The one home of the scenario rules: builds `spec`'s topology, `policy`
+/// and traffic, or returns a ParseError naming the bad name or field. Each
+/// rule applies whether or not the workload reads the field:
+/// - names: the topology and the policy as make_topology and make_policy
+///   parse them; a pattern outside pattern_table(), the §4.5 hot-spot
+///   layouts and "adversarial-group", or an app outside app_table(), with
+///   the nearest name suggested;
+/// - pattern x topology: a bit permutation needs a power-of-two node count,
+///   "hotspot-cross" and "hotspot-double" a 2D mesh or torus (Mesh2D),
+///   "hotspot-double" one at least 4 routers wide, and "adversarial-group"
+///   a dragonfly;
+/// - synthetic numbers: rate_bps, duration and burst_len finite and > 0,
+///   gap_len and noise_rate_bps finite and >= 0, bursts >= 0, and at most
+///   kMaxOfferedPackets offered;
+/// - trace numbers: iterations in [1, kMaxTraceIterations], bytes_scale and
+///   compute_scale in [0, their cap].
+Parsed<CheckedScenario> check_scenario(const std::string& policy,
+                                       const ScenarioSpec& spec);
+
 /// Run one scenario under one policy — the single execution entry point;
-/// dispatches on the workload alternative.
+/// dispatches on the workload alternative. A spec check_scenario rejects
+/// throws std::invalid_argument with its diagnostic before anything runs.
 ScenarioResult run_scenario(const std::string& policy_name,
                             const ScenarioSpec& spec);
 

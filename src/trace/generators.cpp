@@ -1,8 +1,10 @@
 #include "trace/generators.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 namespace prdrb {
@@ -477,19 +479,34 @@ TraceProgram make_smg2000(int ranks, TraceScale s) {
   return prog;
 }
 
+namespace {
+
+constexpr NamedApp kApps[] = {
+    {"nas-lu", make_nas_lu},
+    {"nas-mg-s", [](int r, TraceScale s) { return make_nas_mg(r, 'S', s); }},
+    {"nas-mg-a", [](int r, TraceScale s) { return make_nas_mg(r, 'A', s); }},
+    {"nas-mg-b", [](int r, TraceScale s) { return make_nas_mg(r, 'B', s); }},
+    {"lammps-chain",
+     [](int r, TraceScale s) { return make_lammps(r, false, s); }},
+    {"lammps-comb",
+     [](int r, TraceScale s) { return make_lammps(r, true, s); }},
+    {"pop", make_pop},
+    {"sweep3d", make_sweep3d},
+    {"nas-ft-a", [](int r, TraceScale s) { return make_nas_ft(r, 'A', s); }},
+    {"nas-ft-b", [](int r, TraceScale s) { return make_nas_ft(r, 'B', s); }},
+    {"smg2000", make_smg2000},
+};
+
+}  // namespace
+
+std::span<const NamedApp> app_table() { return kApps; }
+
 TraceProgram make_app_trace(const std::string& name, int ranks, TraceScale s) {
-  if (name == "nas-lu") return make_nas_lu(ranks, s);
-  if (name == "nas-mg-s") return make_nas_mg(ranks, 'S', s);
-  if (name == "nas-mg-a") return make_nas_mg(ranks, 'A', s);
-  if (name == "nas-mg-b") return make_nas_mg(ranks, 'B', s);
-  if (name == "lammps-chain") return make_lammps(ranks, false, s);
-  if (name == "lammps-comb") return make_lammps(ranks, true, s);
-  if (name == "pop") return make_pop(ranks, s);
-  if (name == "sweep3d") return make_sweep3d(ranks, s);
-  if (name == "nas-ft-a") return make_nas_ft(ranks, 'A', s);
-  if (name == "nas-ft-b") return make_nas_ft(ranks, 'B', s);
-  if (name == "smg2000") return make_smg2000(ranks, s);
-  throw std::invalid_argument("unknown application trace: " + name);
+  const auto* app = std::ranges::find(kApps, name, &NamedApp::name);
+  if (app == std::end(kApps)) {
+    throw std::invalid_argument("unknown application trace: " + name);
+  }
+  return app->make(ranks, s);
 }
 
 }  // namespace prdrb

@@ -11,6 +11,9 @@
 // operations in the same order, which the collective tag scheme relies on.
 #pragma once
 
+#include <span>
+#include <string_view>
+
 #include "trace/program.hpp"
 
 namespace prdrb {
@@ -70,7 +73,18 @@ TraceProgram make_nas_ft(int ranks, char cls, TraceScale s = {});
 /// (Table 2.2: 10 phases, 4 relevant, weight 1200).
 TraceProgram make_smg2000(int ranks, TraceScale s = {});
 
-/// Generator registry for benches/examples: "nas-lu", "nas-mg-a", ...
+/// One named application of make_app_trace's table.
+struct NamedApp {
+  std::string_view name;
+  TraceProgram (*make)(int ranks, TraceScale s);
+};
+
+/// Every application make_app_trace generates: "nas-lu", "nas-mg-{s,a,b}",
+/// "nas-ft-{a,b}", "lammps-{chain,comb}", "pop", "sweep3d" and "smg2000".
+std::span<const NamedApp> app_table();
+
+/// Generator registry for benches/examples over app_table(); throws
+/// std::invalid_argument on an unknown name.
 TraceProgram make_app_trace(const std::string& name, int ranks,
                             TraceScale s = {});
 

@@ -1,6 +1,9 @@
 #include "traffic/pattern.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 
 namespace prdrb {
@@ -96,33 +99,39 @@ NodeId GroupShiftPattern::destination(NodeId src, Rng&) const {
   return static_cast<NodeId>((src + group_nodes_) % num_nodes_);
 }
 
-std::unique_ptr<DestinationPattern> make_pattern(const std::string& name,
-                                                 int num_nodes) {
-  if (name == "uniform") return std::make_unique<UniformPattern>(num_nodes);
-  if (name == "bit-reversal") {
-    return std::make_unique<BitReversalPattern>(num_nodes);
-  }
-  if (name == "perfect-shuffle") {
-    return std::make_unique<PerfectShufflePattern>(num_nodes);
-  }
-  if (name == "matrix-transpose") {
-    return std::make_unique<MatrixTransposePattern>(num_nodes);
-  }
-  if (name == "bit-complement") {
-    return std::make_unique<BitComplementPattern>(num_nodes);
-  }
-  if (name == "tornado") return std::make_unique<TornadoPattern>(num_nodes);
-  if (name == "neighbor") return std::make_unique<NeighborPattern>(num_nodes);
-  if (name == "butterfly") {
-    return std::make_unique<ButterflyPattern>(num_nodes);
-  }
-  throw std::invalid_argument("unknown pattern: " + name);
+namespace {
+
+template <typename P>
+std::unique_ptr<DestinationPattern> build(int num_nodes) {
+  return std::make_unique<P>(num_nodes);
 }
 
-std::vector<std::string> known_patterns() {
-  return {"uniform",        "bit-reversal", "perfect-shuffle",
-          "matrix-transpose", "bit-complement", "tornado",
-          "neighbor",       "butterfly"};
+constexpr NamedPattern kPatterns[] = {
+    {"uniform", false, build<UniformPattern>},
+    {"bit-reversal", true, build<BitReversalPattern>},
+    {"perfect-shuffle", true, build<PerfectShufflePattern>},
+    {"matrix-transpose", true, build<MatrixTransposePattern>},
+    {"bit-complement", true, build<BitComplementPattern>},
+    {"tornado", false, build<TornadoPattern>},
+    {"neighbor", false, build<NeighborPattern>},
+    {"butterfly", true, build<ButterflyPattern>},
+};
+
+}  // namespace
+
+std::span<const NamedPattern> pattern_table() { return kPatterns; }
+
+std::unique_ptr<DestinationPattern> make_pattern(const std::string& name,
+                                                 int num_nodes) {
+  const auto* p = std::ranges::find(kPatterns, name, &NamedPattern::name);
+  if (p == std::end(kPatterns)) {
+    throw std::invalid_argument("unknown pattern: " + name);
+  }
+  if (p->needs_power_of_two &&
+      !std::has_single_bit(static_cast<unsigned>(num_nodes))) {
+    throw std::invalid_argument(name + " needs a power-of-two node count");
+  }
+  return p->make(num_nodes);
 }
 
 }  // namespace prdrb

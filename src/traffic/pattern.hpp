@@ -9,8 +9,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "util/random.hpp"
 #include "util/types.hpp"
@@ -156,13 +157,23 @@ class GroupShiftPattern final : public DestinationPattern {
   int group_nodes_;
 };
 
-/// Factory by name (used by benches to sweep patterns): Table 4.1 names
-/// ("uniform", "bit-reversal", "perfect-shuffle", "matrix-transpose") plus
-/// "bit-complement", "tornado", "neighbor" and "butterfly".
+/// One named pattern of make_pattern's table.
+struct NamedPattern {
+  std::string_view name;
+  /// A bit permutation: defined on a power-of-two node count only.
+  bool needs_power_of_two;
+  std::unique_ptr<DestinationPattern> (*make)(int num_nodes);
+};
+
+/// Every pattern make_pattern builds: Table 4.1 ("uniform", "bit-reversal",
+/// "perfect-shuffle", "matrix-transpose") plus "bit-complement", "tornado",
+/// "neighbor" and "butterfly".
+std::span<const NamedPattern> pattern_table();
+
+/// Factory by name (used by benches to sweep patterns) over
+/// pattern_table(). Throws std::invalid_argument on an unknown name and on
+/// a bit permutation over a node count that is not a power of two.
 std::unique_ptr<DestinationPattern> make_pattern(const std::string& name,
                                                  int num_nodes);
-
-/// Every pattern name the factory accepts.
-std::vector<std::string> known_patterns();
 
 }  // namespace prdrb

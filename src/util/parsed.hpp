@@ -25,7 +25,7 @@ namespace prdrb {
 /// A rejected name plus enough context to phrase a one-line diagnostic.
 struct ParseError {
   std::string input;       ///< the offending name, verbatim
-  std::string kind;        ///< "policy", "topology", "scheduler", ...
+  std::string kind;        ///< "policy", "topology", "pattern", "flag", ...
   std::string message;     ///< short reason ("unknown policy", "bad extent")
   std::string suggestion;  ///< nearest known name; empty when none is close
 
@@ -94,6 +94,25 @@ Parsed<T> parse_number(std::string_view flag, std::string_view text) {
   if (ok) return v;
   return ParseError{std::string(text), "flag",
                     std::string(flag) + " needs " + want + ", got", ""};
+}
+
+/// The name of the command-line argument `arg`: the part before the '=' of
+/// "--name=value", else all of it.
+inline std::string_view flag_name(std::string_view arg) {
+  return arg.starts_with("--") ? arg.substr(0, arg.find('=')) : arg;
+}
+
+/// The value of the flag argv[i]: after the '=' of "--name=value", else
+/// the next argument, advancing `i` past it. A ParseError when there is
+/// none.
+inline Parsed<std::string> flag_value(int argc, char** argv, int& i) {
+  const std::string_view arg = argv[i];
+  const std::string_view name = flag_name(arg);
+  if (name.size() < arg.size()) {
+    return std::string(arg.substr(name.size() + 1));
+  }
+  if (i + 1 < argc) return std::string(argv[++i]);
+  return ParseError{std::string(name), "flag", "missing value for", ""};
 }
 
 /// Levenshtein edit distance, the classic two-row DP. Inputs here are short

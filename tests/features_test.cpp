@@ -124,10 +124,10 @@ TEST(ExtendedPatterns, DefinitionsSpotChecks) {
 }
 
 TEST(ExtendedPatterns, FactoryKnowsAllNames) {
-  for (const std::string& name : known_patterns()) {
-    EXPECT_NO_THROW(make_pattern(name, 16)) << name;
+  for (const NamedPattern& p : pattern_table()) {
+    EXPECT_NO_THROW(make_pattern(std::string(p.name), 16)) << p.name;
   }
-  EXPECT_EQ(known_patterns().size(), 8u);
+  EXPECT_EQ(pattern_table().size(), 8u);
 }
 
 // ---------------------------------------------------------------------------

@@ -70,6 +70,33 @@ TEST(Report, ParseManifestRoundTripsTheWriterFields) {
   EXPECT_FALSE(parse_manifest("{\"schema\":\"something-else\"}", info));
 }
 
+TEST(Report, ManifestCountsOutOfRangeAreMalformed) {
+  const auto manifest = [](const std::string& top, const std::string& pol) {
+    return "{\"schema\":\"prdrb-manifest-v1\",\"tool\":\"t\"" + top +
+           ",\"policies\":[{\"policy\":\"drb\"" + pol + "}]}";
+  };
+  ManifestInfo info;
+  // The largest values each field holds exactly.
+  ASSERT_TRUE(parse_manifest(
+      manifest(",\"seed\":18446744073709549568,\"jobs\":2147483647,"
+               "\"events\":18446744073709549568",
+               ",\"runs\":2147483647,\"events\":0"),
+      info));
+  EXPECT_EQ(info.seed, 18446744073709549568u);
+  EXPECT_EQ(info.jobs, 2147483647);
+  EXPECT_EQ(info.policies.at(0).runs, 2147483647);
+  for (const char* top :
+       {",\"seed\":-1", ",\"seed\":1.5", ",\"seed\":18446744073709551616",
+        ",\"jobs\":-1", ",\"jobs\":2147483648", ",\"jobs\":1e300",
+        ",\"events\":-5", ",\"events\":1e300"}) {
+    EXPECT_FALSE(parse_manifest(manifest(top, ""), info)) << top;
+  }
+  for (const char* pol : {",\"runs\":-1", ",\"runs\":2147483648",
+                          ",\"events\":0.5", ",\"events\":-5"}) {
+    EXPECT_FALSE(parse_manifest(manifest("", pol), info)) << pol;
+  }
+}
+
 TEST(Report, CollectReportsIsSortedAndSkipsForeignFiles) {
   const std::string dir =
       ::testing::TempDir() + "prdrb_report_collect";
@@ -440,6 +467,9 @@ TEST(Report, CollectDocumentsPutsEachFileInExactlyOneList) {
   write("f_empty.json", "");
   write("g_junk.ndjson", "not a stream\n");
   write("h_notes.txt", "not json at all");
+  write("i_bad_counts.json",
+        "{\"schema\":\"prdrb-manifest-v1\",\"tool\":\"t\",\"seed\":-1,"
+        "\"jobs\":1e300,\"events\":-5}");
 
   const ResultsDir docs = collect_documents(dir);
   using Names = std::vector<std::string>;
@@ -453,13 +483,15 @@ TEST(Report, CollectDocumentsPutsEachFileInExactlyOneList) {
   EXPECT_EQ(docs.streams[0].bad_lines, 1u);
   EXPECT_EQ(docs.streams[1].lines, 1u);
   EXPECT_EQ(docs.streams[1].bad_lines, 0u);
-  // Only .json files are skipped; a .ndjson file with no stream line and
-  // other extensions are ignored.
+  // A .json or .ndjson file that holds none of the schemas, a manifest
+  // with out-of-range counts among them, is skipped; other extensions are
+  // ignored.
   Names skipped;
   for (const std::string& p : docs.skipped) {
     skipped.push_back(std::filesystem::path(p).filename().string());
   }
-  EXPECT_EQ(skipped, (Names{"e_foreign.json", "f_empty.json"}));
+  EXPECT_EQ(skipped, (Names{"e_foreign.json", "f_empty.json",
+                            "g_junk.ndjson", "i_bad_counts.json"}));
 
   const ResultsDir missing = collect_documents(dir + "/no-such-dir");
   EXPECT_TRUE(missing.manifests.empty() && missing.scorecards.empty() &&
