@@ -55,6 +55,61 @@ void BM_EventQueueHoldHeap(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueHoldHeap)->Arg(4096)->Arg(131072)->Arg(262144);
 
+/// The pipeline's hold model at a fixed pending depth: every action
+/// reschedules itself after the next of five constant delays (zero, wire,
+/// router, router plus a tail, one serialization). `lanes` 1 schedules
+/// through schedule_in (the delay lanes), 0 at the same absolute time
+/// through schedule (the heap); both fire the same sequence. A CI step
+/// requires the lane row to keep its lead, which only a silent fall-back to
+/// the heap can lose.
+class PipelineHold {
+ public:
+  PipelineHold(std::size_t depth, bool lanes) : lanes_(lanes) {
+    // Arrivals at random times and stages; after the first `depth` pops
+    // every pending event is a pipeline stage.
+    Rng rng(42);
+    for (std::size_t i = 0; i < depth; ++i) {
+      const int stage = static_cast<int>(i % 5);
+      q_.schedule(rng.next_double() * 1e-6, [this, stage] { arm(stage); });
+    }
+    for (std::size_t i = 0; i < 2 * depth; ++i) step();
+  }
+
+  void step() {
+    EventQueue::Fired fired = q_.pop();
+    now_ = fired.time;
+    fired.action();
+  }
+
+ private:
+  static constexpr SimTime kDelays[] = {0.0, 20e-9, 40e-9, 40e-9 + 4.096e-6,
+                                        4.096e-6};
+
+  void arm(int stage) {
+    const int next = stage == 4 ? 0 : stage + 1;
+    auto again = [this, next] { arm(next); };
+    if (lanes_) {
+      q_.schedule_in(now_, kDelays[next], std::move(again));
+    } else {
+      q_.schedule(now_ + kDelays[next], std::move(again));
+    }
+  }
+
+  EventQueue q_;
+  SimTime now_ = 0;
+  bool lanes_;
+};
+
+void BM_EventQueuePipelineHold(benchmark::State& state) {
+  PipelineHold hold(static_cast<std::size_t>(state.range(0)),
+                    state.range(1) != 0);
+  for (auto _ : state) hold.step();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueuePipelineHold)
+    ->ArgNames({"depth", "lanes"})
+    ->ArgsProduct({{256, 4096}, {1, 0}});
+
 void BM_SignatureSimilarity(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   std::vector<ContendingFlow> a;

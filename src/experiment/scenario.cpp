@@ -520,7 +520,7 @@ RunProbes::RunProbes(Simulator& sim, Network& net, PolicyBundle& b,
       reg.gauge(name, [read] { return static_cast<double>(read()); });
     };
     count("sim.events", [&sim] { return sim.events_executed(); });
-    // Cancelled-but-unpurged heap entries (FR-DRB watchdog churn).
+    // Cancelled-but-unpurged pending entries (FR-DRB watchdog churn).
     const EventQueue* q = &sim.queue();
     count("sim.sched.tombstones", [q] { return q->pending_cancellations(); });
     if (DrbPolicy* drb = b.drb) {

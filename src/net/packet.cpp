@@ -15,17 +15,6 @@ FlowAppend append_flow(ContendingList& list, const ContendingFlow& f,
   return FlowAppend::kAdded;
 }
 
-NodeId Packet::current_target() const {
-  if (header_id == 0 && intermediate1 != kInvalidNode) return intermediate1;
-  if (header_id <= 1 && intermediate2 != kInvalidNode) return intermediate2;
-  return destination;
-}
-
-int Packet::virtual_network() const {
-  if (is_ack()) return kNumVirtualNetworks - 1;
-  return header_id;  // 0..2, one escape class per MSP segment
-}
-
 std::string Packet::describe() const {
   std::ostringstream os;
   os << (type == PacketType::kData

@@ -146,4 +146,15 @@ struct Packet {
 /// segments S->IN1, IN1->IN2, IN2->D plus the ACK class.
 inline constexpr int kNumVirtualNetworks = 4;
 
+inline NodeId Packet::current_target() const {
+  if (header_id == 0 && intermediate1 != kInvalidNode) return intermediate1;
+  if (header_id <= 1 && intermediate2 != kInvalidNode) return intermediate2;
+  return destination;
+}
+
+inline int Packet::virtual_network() const {
+  if (is_ack()) return kNumVirtualNetworks - 1;
+  return header_id;  // 0..2, one escape class per MSP segment
+}
+
 }  // namespace prdrb

@@ -6,10 +6,10 @@
 
 namespace prdrb {
 
-// The asserts let NaN through to EventQueue::schedule, which throws.
+// The asserts let NaN through to the EventQueue, which throws.
 EventId Simulator::schedule_in(SimTime delay, EventQueue::Action action) {
   assert(!(delay < 0));
-  return queue_.schedule(now_ + delay, std::move(action));
+  return queue_.schedule_in(now_, delay, std::move(action));
 }
 
 EventId Simulator::schedule_at(SimTime when, EventQueue::Action action) {

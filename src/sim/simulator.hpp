@@ -6,6 +6,9 @@
 // event at a time in (time, scheduling sequence) order; an action that
 // schedules at the current time gets a larger sequence number than every
 // pending event, so it runs after them, still at the current time.
+// schedule_in enters the queue through the FIFO lane of its delay and
+// schedule_at through the heap; which one an event took never changes when
+// it runs.
 // run_windows steps that loop on a fixed virtual-time grid, so periodic
 // observers run between events instead of as events of their own.
 #pragma once
@@ -22,7 +25,8 @@ class Simulator {
  public:
   SimTime now() const { return now_; }
 
-  /// Schedule an action `delay` seconds from now (delay >= 0).
+  /// Schedule an action `delay` seconds from now (delay >= 0), through the
+  /// queue's lane for `delay` (EventQueue::schedule_in).
   EventId schedule_in(SimTime delay, EventQueue::Action action);
 
   /// Schedule an action at an absolute time (>= now()).

@@ -104,14 +104,17 @@ inline std::string_view flag_name(std::string_view arg) {
 
 /// The value of the flag argv[i]: after the '=' of "--name=value", else
 /// the next argument, advancing `i` past it. A ParseError when there is
-/// none.
+/// none, or when the next argument is itself a flag ("--..."); a single-dash
+/// value such as "-5" is left to the flag's own parser.
 inline Parsed<std::string> flag_value(int argc, char** argv, int& i) {
   const std::string_view arg = argv[i];
   const std::string_view name = flag_name(arg);
   if (name.size() < arg.size()) {
     return std::string(arg.substr(name.size() + 1));
   }
-  if (i + 1 < argc) return std::string(argv[++i]);
+  if (i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--")) {
+    return std::string(argv[++i]);
+  }
   return ParseError{std::string(name), "flag", "missing value for", ""};
 }
 

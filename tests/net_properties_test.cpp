@@ -369,6 +369,42 @@ TEST(Allocations, EventQueueSteadyStateIsAllocationFree) {
   EXPECT_GT(sink, 0u);
 }
 
+TEST(Allocations, EventQueueLaneSteadyStateIsAllocationFree) {
+  // The lane twin: schedule_in on five constant pipeline delays. Warm-up
+  // grows each lane's ring to its high-water mark; after it, schedule+pop
+  // never touches the allocator.
+  constexpr SimTime kDelays[] = {0.0, 20e-9, 40e-9, 40e-9 + 4.096e-6,
+                                 4.096e-6};
+  EventQueue q;
+  std::uint64_t sink = 0;
+  SimTime now = 0;
+  auto drain = [&] {
+    while (!q.empty()) {
+      EventQueue::Fired fired = q.pop();
+      now = fired.time;
+      fired.action();
+    }
+  };
+  for (int i = 0; i < 4096; ++i) {
+    q.schedule_in(now, kDelays[i % 5], [&sink, i] {
+      sink += static_cast<std::uint64_t>(i);
+    });
+  }
+  drain();
+
+  test::AllocationScope scope;
+  for (int round = 0; round < 1000; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      q.schedule_in(now, kDelays[i % 5], [&sink, i] {
+        sink += static_cast<std::uint64_t>(i);
+      });
+    }
+    drain();
+  }
+  EXPECT_EQ(scope.count(), 0u) << "steady-state lane schedule/pop allocated";
+  EXPECT_GT(sink, 0u);
+}
+
 TEST(Allocations, NetworkSteadyStateHopsAreAllocationFree) {
   // Drive the same workload twice through one network. The second pass
   // reuses pooled packets, recycled event slots and warmed queues, so the
